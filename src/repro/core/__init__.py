@@ -1,9 +1,9 @@
 """MIND core: in-network memory management (the paper's contribution).
 
 Subpackages split by memory-management function, following the paper's own
-decoupling (P1): allocation (`allocator`), addressing (`addressing`),
-protection (`protection`), caching/coherence (`directory`, `stt`,
-`coherence`), region sizing (`bounded_splitting`), the control plane
+decoupling (P1): allocation (re-exported from `repro.alloc`), addressing
+(`addressing`), protection (`protection`), caching/coherence (`directory`,
+`stt`, `coherence`), region sizing (`bounded_splitting`), the control plane
 (`controller`), fail-over (`failures`) and the assembled switch (`mmu`).
 """
 
@@ -56,16 +56,6 @@ from .txn import (
 from .vma import PermissionClass, Vma, align_down, align_up, round_up_pow2
 
 
-def __getattr__(name: str):
-    # Deprecated re-exports that moved to repro.faults; resolved lazily so
-    # the DeprecationWarning from repro.core.coherence fires on access.
-    if name in ("MessageLossInjector", "FaultInjector"):
-        from . import coherence
-
-        return getattr(coherence, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AddressSpace",
     "AdmissionController",
@@ -79,13 +69,11 @@ __all__ = [
     "ControlPlaneSnapshot",
     "DataPath",
     "DirectoryFullError",
-    "FaultInjector",
     "FaultResult",
     "FirstFitAllocator",
     "GlobalAllocator",
     "InNetworkMmu",
     "InvalidationEngine",
-    "MessageLossInjector",
     "MindConfig",
     "OutOfMemoryError",
     "PDID_WIDTH",

@@ -20,7 +20,6 @@ fault latency.
 
 from __future__ import annotations
 
-import warnings
 from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional
 
 from ..obs.spans import SpanCursor
@@ -57,22 +56,6 @@ COMPUTE_BLADE_GROUP = 1
 #: A compute blade's invalidation handler: a generator-producing callable
 #: that performs the local invalidation work and returns an InvalidationAck.
 InvalidationHandler = Callable[[InvalidationRequest], Generator]
-
-
-def __getattr__(name: str):
-    # MessageLossInjector moved to repro.faults (it was born here, pre-dating
-    # the faults subsystem, and was first exported as FaultInjector).
-    if name in ("MessageLossInjector", "FaultInjector"):
-        from ..faults.message_loss import MessageLossInjector as _moved
-
-        warnings.warn(
-            f"repro.core.coherence.{name} is deprecated; "
-            "import MessageLossInjector from repro.faults instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _moved
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class CoherenceProtocol:
@@ -258,11 +241,19 @@ class CoherenceProtocol:
         end-to-end fault latency.
         """
         t0 = self.engine.now
+        tracer = self.engine.tracer
+        lane = tracer.track(f"coherence:port{req.src_port}") if tracer.enabled else 0
+        spans = SpanCursor(
+            self.engine, self.stats, "fault_path", trace_cat="coherence", track=lane
+        )
         # Fail-over gate: while the primary is down, new transactions wait
         # for the backup.  The wait is part of the fault's latency -- it
-        # *is* the unavailability window as the blades experience it.
+        # *is* the unavailability window as the blades experience it -- so
+        # it gets its own breakdown component (zero, hence unrecorded, when
+        # no outage is pending).
         while self._outage is not None:
             yield self._outage
+        spans.mark("outage")
         epoch = self.epoch
         requester = self._blade_ports[req.src_port]
         # Cross-rack requesters sit behind a CompositePath that banks its
@@ -273,22 +264,10 @@ class CoherenceProtocol:
         pop_deferred_us(requester.from_switch)
         page_va = align_down(req.va, PAGE_SIZE)
         pkt = self.pipeline.packet()
-        tracer = self.engine.tracer
-        lane = tracer.track(f"coherence:port{req.src_port}") if tracer.enabled else 0
-        spans = SpanCursor(
-            self.engine, self.stats, "fault_path", trace_cat="coherence", track=lane
-        )
 
         # Requester -> switch (retransmitted if the uplink drops it).
         yield self.config.rdma_verb_overhead_us
-        link = requester.to_switch
-        if (leg := link.try_leg(CONTROL_MSG_BYTES)) >= 0.0:
-            yield leg
-        elif (ser := link.try_start(CONTROL_MSG_BYTES)) >= 0.0:
-            yield ser
-            yield link.finish(CONTROL_MSG_BYTES)
-        elif not (yield from self.engine.subtask(link.transfer(CONTROL_MSG_BYTES))):
-            yield from self.fetch._redeliver(link, CONTROL_MSG_BYTES)
+        yield from self.fetch.leg(requester.to_switch, CONTROL_MSG_BYTES)
         spans.mark_wire("request", requester.to_switch)
 
         # Pipeline pass 1: protection check, directory lookup, STT match.

@@ -59,13 +59,26 @@ class DataPath:
             yield ctx.backoff.timeout_us(min(attempt, ctx.MAX_RETRIES))
             attempt += 1
 
+    def leg(self, link, size_bytes: int) -> Generator:
+        """One reliably delivered wire leg of ``size_bytes`` over ``link``.
+
+        An idle, fault-free link in a quiet instant takes the
+        :meth:`~repro.sim.network.Link.try_start` fast path (two plain
+        delays, no transfer frame); anything else runs the full transfer
+        and, if a fault window dropped it, :meth:`_redeliver`.
+        """
+        if (ser := link.try_start(size_bytes)) >= 0.0:
+            yield ser
+            yield link.finish(size_bytes)
+        elif not (yield from self.ctx.engine.subtask(link.transfer(size_bytes))):
+            yield from self._redeliver(link, size_bytes)
+
     def _redeliver(self, link, size_bytes: int) -> Generator:
         """Cold path of reliable delivery: retransmit with capped backoff
-        after a first failed leg.  The hot path at each call site runs the
-        first transfer inline (no deliver() frame, no closure) and only
-        falls in here when a fault injector dropped the leg -- the
-        retransmission sequence is exactly :meth:`deliver`'s from the first
-        failure on.
+        after a first failed leg.  :meth:`leg` runs the first transfer
+        without a deliver() frame or closure and only falls in here when a
+        fault injector dropped the leg -- the retransmission sequence is
+        exactly :meth:`deliver`'s from the first failure on.
         """
         ctx = self.ctx
         attempt = 0
@@ -121,16 +134,7 @@ class DataPath:
                     # completions), then take our own downlink leg.
                     data = yield joined.done
                     spans.mark("coalesced_wait")
-                    link = requester.from_switch
-                    if (leg := link.try_leg(PAGE_SIZE)) >= 0.0:
-                        yield leg
-                    elif (ser := link.try_start(PAGE_SIZE)) >= 0.0:
-                        yield ser
-                        yield link.finish(PAGE_SIZE)
-                    elif not (
-                        yield from ctx.engine.subtask(link.transfer(PAGE_SIZE))
-                    ):
-                        yield from self._redeliver(link, PAGE_SIZE)
+                    yield from self.leg(requester.from_switch, PAGE_SIZE)
                     yield ctx.config.rdma_verb_overhead_us
                     spans.mark_wire("reply", requester.from_switch)
                     return data, 0, False, True
@@ -180,14 +184,7 @@ class DataPath:
                 inval, targets, region
             )
             spans.mark("invalidation")
-            link = requester.from_switch
-            if (leg := link.try_leg(CONTROL_MSG_BYTES)) >= 0.0:
-                yield leg
-            elif (ser := link.try_start(CONTROL_MSG_BYTES)) >= 0.0:
-                yield ser
-                yield link.finish(CONTROL_MSG_BYTES)
-            elif not (yield from ctx.engine.subtask(link.transfer(CONTROL_MSG_BYTES))):
-                yield from self._redeliver(link, CONTROL_MSG_BYTES)
+            yield from self.leg(requester.from_switch, CONTROL_MSG_BYTES)
             spans.mark_wire("reply", requester.from_switch)
             return None, len(targets), was_reset, False
         if transition.action is TransitionAction.FETCH_FROM_OWNER:
@@ -266,14 +263,7 @@ class DataPath:
         ctx.stats.incr("memory_fetches")
         # Stitch the requester's virtual connection to the real one.
         self.rdma_virt.rewrite(req.src_port, xlate.blade_id)
-        link = blade.port.from_switch
-        if (leg := link.try_leg(CONTROL_MSG_BYTES)) >= 0.0:
-            yield leg
-        elif (ser := link.try_start(CONTROL_MSG_BYTES)) >= 0.0:
-            yield ser
-            yield link.finish(CONTROL_MSG_BYTES)
-        elif not (yield from engine.subtask(link.transfer(CONTROL_MSG_BYTES))):
-            yield from self._redeliver(link, CONTROL_MSG_BYTES)
+        yield from self.leg(blade.port.from_switch, CONTROL_MSG_BYTES)
         if not getattr(blade, "available", True):
             yield from self.blade_ready(blade)
         pending = self.pending_flushes.get(page_va)
@@ -283,14 +273,7 @@ class DataPath:
             yield pending
         yield self.blade_service_us(blade)
         data = blade.read_page(xlate.pa)
-        link = blade.port.to_switch
-        if (leg := link.try_leg(PAGE_SIZE)) >= 0.0:
-            yield leg
-        elif (ser := link.try_start(PAGE_SIZE)) >= 0.0:
-            yield ser
-            yield link.finish(PAGE_SIZE)
-        elif not (yield from engine.subtask(link.transfer(PAGE_SIZE))):
-            yield from self._redeliver(link, PAGE_SIZE)
+        yield from self.leg(blade.port.to_switch, PAGE_SIZE)
         # Response pass through the pipeline, then down to the requester.
         resp = ctx.pipeline.packet()
         if (
@@ -301,14 +284,7 @@ class DataPath:
             yield resp.traverse_us()
         else:
             yield from engine.subtask(resp.traverse())
-        link = requester.from_switch
-        if (leg := link.try_leg(PAGE_SIZE)) >= 0.0:
-            yield leg
-        elif (ser := link.try_start(PAGE_SIZE)) >= 0.0:
-            yield ser
-            yield link.finish(PAGE_SIZE)
-        elif not (yield from engine.subtask(link.transfer(PAGE_SIZE))):
-            yield from self._redeliver(link, PAGE_SIZE)
+        yield from self.leg(requester.from_switch, PAGE_SIZE)
         yield ctx.config.rdma_verb_overhead_us
         return data
 
@@ -351,14 +327,7 @@ class DataPath:
             )
         else:
             # Just the read request leg to the owner.
-            link = owner_port.from_switch
-            if (leg := link.try_leg(CONTROL_MSG_BYTES)) >= 0.0:
-                yield leg
-            elif (ser := link.try_start(CONTROL_MSG_BYTES)) >= 0.0:
-                yield ser
-                yield link.finish(CONTROL_MSG_BYTES)
-            elif not (yield from ctx.engine.subtask(link.transfer(CONTROL_MSG_BYTES))):
-                yield from self._redeliver(link, CONTROL_MSG_BYTES)
+            yield from self.leg(owner_port.from_switch, CONTROL_MSG_BYTES)
         # The owner's kernel serves the page out of its DRAM cache.
         yield ctx.config.memory_service_us + ctx.config.dram_access_us
         data = ctx._page_servers[owner_port_id](page_va)
@@ -369,14 +338,7 @@ class DataPath:
         if data == b"":
             data = None  # resident, but payload storage is disabled
         ctx.stats.incr("cache_to_cache_transfers")
-        link = owner_port.to_switch
-        if (leg := link.try_leg(PAGE_SIZE)) >= 0.0:
-            yield leg
-        elif (ser := link.try_start(PAGE_SIZE)) >= 0.0:
-            yield ser
-            yield link.finish(PAGE_SIZE)
-        elif not (yield from ctx.engine.subtask(link.transfer(PAGE_SIZE))):
-            yield from self._redeliver(link, PAGE_SIZE)
+        yield from self.leg(owner_port.to_switch, PAGE_SIZE)
         engine = ctx.engine
         resp = ctx.pipeline.packet()
         if (
@@ -387,14 +349,7 @@ class DataPath:
             yield resp.traverse_us()
         else:
             yield from engine.subtask(resp.traverse())
-        link = requester.from_switch
-        if (leg := link.try_leg(PAGE_SIZE)) >= 0.0:
-            yield leg
-        elif (ser := link.try_start(PAGE_SIZE)) >= 0.0:
-            yield ser
-            yield link.finish(PAGE_SIZE)
-        elif not (yield from ctx.engine.subtask(link.transfer(PAGE_SIZE))):
-            yield from self._redeliver(link, PAGE_SIZE)
+        yield from self.leg(requester.from_switch, PAGE_SIZE)
         yield ctx.config.rdma_verb_overhead_us
         return data, was_reset
 
@@ -421,14 +376,7 @@ class DataPath:
         self.rdma_virt.rewrite(src_port.port_id, xlate.blade_id)
         # Every leg is delivered reliably: a silently lost write-back would
         # leave memory stale behind an Invalid directory -- incoherence.
-        link = src_port.to_switch
-        if (leg := link.try_leg(PAGE_SIZE)) >= 0.0:
-            yield leg
-        elif (ser := link.try_start(PAGE_SIZE)) >= 0.0:
-            yield ser
-            yield link.finish(PAGE_SIZE)
-        elif not (yield from engine.subtask(link.transfer(PAGE_SIZE))):
-            yield from self._redeliver(link, PAGE_SIZE)
+        yield from self.leg(src_port.to_switch, PAGE_SIZE)
         pkt = ctx.pipeline.packet()
         if (
             not engine._ready
@@ -438,14 +386,7 @@ class DataPath:
             yield pkt.traverse_us()
         else:
             yield from engine.subtask(pkt.traverse())
-        link = blade.port.from_switch
-        if (leg := link.try_leg(PAGE_SIZE)) >= 0.0:
-            yield leg
-        elif (ser := link.try_start(PAGE_SIZE)) >= 0.0:
-            yield ser
-            yield link.finish(PAGE_SIZE)
-        elif not (yield from engine.subtask(link.transfer(PAGE_SIZE))):
-            yield from self._redeliver(link, PAGE_SIZE)
+        yield from self.leg(blade.port.from_switch, PAGE_SIZE)
         if not getattr(blade, "available", True):
             yield from self.blade_ready(blade)
         yield self.blade_service_us(blade)
@@ -453,14 +394,7 @@ class DataPath:
         ctx.stats.incr("pages_written_back")
         if landed is not None and not landed.triggered:
             landed.succeed()
-        link = blade.port.to_switch
-        if (leg := link.try_leg(CONTROL_MSG_BYTES)) >= 0.0:
-            yield leg
-        elif (ser := link.try_start(CONTROL_MSG_BYTES)) >= 0.0:
-            yield ser
-            yield link.finish(CONTROL_MSG_BYTES)
-        elif not (yield from engine.subtask(link.transfer(CONTROL_MSG_BYTES))):
-            yield from self._redeliver(link, CONTROL_MSG_BYTES)
+        yield from self.leg(blade.port.to_switch, CONTROL_MSG_BYTES)
 
     def flush_page_async(
         self, src_port: Port, page_va: int, data: Optional[bytes]

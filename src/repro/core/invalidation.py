@@ -136,9 +136,7 @@ class InvalidationEngine:
         port = ctx._blade_ports[port_id]
         ctx.stats.incr("invalidations_sent")
         link = port.from_switch
-        if (leg := link.try_leg(CONTROL_MSG_BYTES)) >= 0.0:
-            yield leg
-        elif (ser := link.try_start(CONTROL_MSG_BYTES)) >= 0.0:
+        if (ser := link.try_start(CONTROL_MSG_BYTES)) >= 0.0:
             yield ser
             yield link.finish(CONTROL_MSG_BYTES)
         elif not (yield engine.process(link.transfer(CONTROL_MSG_BYTES))):
@@ -147,10 +145,7 @@ class InvalidationEngine:
             ctx._inval_handlers[port_id](inval)
         )
         link = port.to_switch
-        if (leg := link.try_leg(CONTROL_MSG_BYTES)) >= 0.0:
-            yield leg
-            acked = True
-        elif (ser := link.try_start(CONTROL_MSG_BYTES)) >= 0.0:
+        if (ser := link.try_start(CONTROL_MSG_BYTES)) >= 0.0:
             yield ser
             yield link.finish(CONTROL_MSG_BYTES)
             acked = True

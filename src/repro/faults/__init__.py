@@ -4,8 +4,7 @@
 - :mod:`repro.faults.injector` -- arms a plan on a running cluster.
 - :mod:`repro.faults.failover` -- the in-simulation switch fail-over
   sequence (detection, rebuild-from-replica, quiesce, re-warm).
-- :mod:`repro.faults.message_loss` -- protocol-level message drops
-  (formerly ``repro.core.coherence.MessageLossInjector``).
+- :mod:`repro.faults.message_loss` -- protocol-level message drops.
 """
 
 from .failover import FailoverConfig, FailoverOrchestrator

@@ -11,15 +11,11 @@ Section 8's NUMA-analogy extension, grown into a first-class subsystem:
   fabric-wide process/memory management, per-rack fail-over, telemetry.
 - :mod:`~repro.multirack.runner` -- the seeded scenario driver behind the
   ``multirack`` sweep workload and ``multirack-scale`` preset.
-- :mod:`~repro.multirack.parallel` -- opt-in parallel-in-time execution:
-  independent rack components simulated concurrently, byte-identical to
-  the serial runner.
 - :mod:`~repro.multirack.cli` -- ``python -m repro multirack``.
 """
 
 from .config import MultiRackConfig, RackCapacityError
 from .fabric import MultiRackFabric, RackRouter
-from .parallel import run_multirack_parallel, set_rack_parallelism
 from .runner import MultiRackScenarioConfig, config_from_params, run_multirack
 from .topology import RackNode, ShardMap, SpineProxyPort, Topology
 
@@ -35,6 +31,4 @@ __all__ = [
     "Topology",
     "config_from_params",
     "run_multirack",
-    "run_multirack_parallel",
-    "set_rack_parallelism",
 ]

@@ -44,10 +44,6 @@ def add_multirack_parser(sub) -> None:
     p.add_argument("--arrival-rate", type=float, default=0.02,
                    help="open-loop arrivals per thread per simulated us")
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--rack-parallel", type=int, default=None, metavar="N",
-                   help="simulate independent rack components in up to N "
-                        "worker processes (byte-identical to serial; falls "
-                        "back to serial when racks are coupled)")
     p.set_defaults(fn=multirack)
 
 
@@ -67,12 +63,7 @@ def multirack(args) -> int:
         arrival_rate_per_thread=args.arrival_rate,
         seed=args.seed,
     )
-    if args.rack_parallel is not None:
-        from .parallel import run_multirack_parallel
-
-        result = run_multirack_parallel(config, workers=args.rack_parallel)
-    else:
-        result = run_multirack(config)
+    result = run_multirack(config)
     stats = result.stats
     fcfg = config.fabric_config()
     spine = fcfg.spine_link_config()

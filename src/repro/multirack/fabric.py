@@ -26,7 +26,7 @@ the ``multirack-scale`` preset.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Generator, List, Optional, Union
+from typing import Callable, Dict, Generator, List, Optional, Union
 
 from ..blades.compute import ComputeBlade
 from ..blades.memory import MemoryBlade
@@ -243,63 +243,62 @@ class MultiRackFabric:
 
     # -- observability --------------------------------------------------------
 
-    def rack_telemetry_raw(self, rack: int) -> Dict[str, Any]:
-        """Raw end-of-run tallies for one rack, aggregation-ready.
-
-        Every value is either an exact integer tally or a per-rack float
-        that the serial capture path summed in rack order -- so
-        :func:`aggregate_rack_telemetry` over these dicts (in rack order)
-        reproduces :meth:`capture_telemetry`'s arithmetic bit for bit,
-        whether the dicts came from this fabric or were collected across
-        parallel per-component worker processes.
-        """
-        node = self.topology.racks[rack]
-        m = node.mmu
-        return {
-            "directory_peak": m.directory_sram.peak_used,
-            "directory_final": len(m.directory),
-            "match_action_rules": m.match_action_rules()["total"],
-            "pipeline_passes": m.pipeline.passes,
-            "recirculations": m.pipeline.recirculations,
-            "pending_table_peak": m.coherence.pending.peak,
-            "control_cpu_stalls": m.control_cpu.stalls,
-            "control_cpu_stall_us": m.control_cpu.stall_us,
-            "requests_refused": sum(
-                b.requests_refused for b in node.cluster.memory_blades
-            ),
-            "alloc_modeled": m.allocator.modeled,
-            "alloc_ops": m.control_cpu.alloc_ops,
-            "alloc_us": m.control_cpu.alloc_us,
-            "alloc_raw": m.allocator.raw_telemetry(),
-            "spine_forwards": m.pipeline.forwards,
-            "edge_bytes": node.network.total_bytes(),
-            "edge_packets_dropped": node.network.total_packets_dropped(),
-            # (bytes, dropped, busy integral, capacity) per spine link so
-            # utilization can be evaluated against any horizon.
-            "spine_links": [
-                (
-                    link.bytes_carried,
-                    link.packets_dropped,
-                    *link.busy_stats(),
-                )
-                for link in (node.uplink, node.downlink)
-            ],
-        }
-
     def capture_telemetry(self) -> None:
         """Fabric-wide end-of-run telemetry with bounded cardinality.
 
         At thousands of blades the per-resource wait/utilization gauges
         the single-rack cluster emits would explode the metrics namespace
         (and the sweep documents), so the fabric aggregates instead:
-        switch counters summed across racks plus per-tier link totals
-        from the topology graph.  Idempotent: counters are assigned.
+        switch counters summed across racks (in rack order) plus per-tier
+        link totals from the topology graph.  Idempotent: counters are
+        assigned.
         """
-        raws = [
-            self.rack_telemetry_raw(r) for r in range(len(self.topology.racks))
-        ]
-        aggregate_rack_telemetry(self.stats, raws, self.engine.now)
-        timeline = self.stats.timeline
+        stats = self.stats
+        nodes = self.topology.racks
+        mmus = [node.mmu for node in nodes]
+        stats.counters["directory_peak"] = sum(m.directory_sram.peak_used for m in mmus)
+        stats.counters["directory_final"] = sum(len(m.directory) for m in mmus)
+        stats.counters["match_action_rules"] = sum(
+            m.match_action_rules()["total"] for m in mmus
+        )
+        stats.counters["pipeline_passes"] = sum(m.pipeline.passes for m in mmus)
+        stats.counters["recirculations"] = sum(m.pipeline.recirculations for m in mmus)
+        stats.counters["pending_table_peak"] = max(m.coherence.pending.peak for m in mmus)
+        stalls = sum(m.control_cpu.stalls for m in mmus)
+        if stalls:
+            stats.counters["control_cpu_stalls"] = stalls
+            stats.set_gauge(
+                "control_cpu_stall_us", sum(m.control_cpu.stall_us for m in mmus)
+            )
+        refused = sum(
+            b.requests_refused for node in nodes for b in node.cluster.memory_blades
+        )
+        if refused:
+            stats.counters["blade_requests_refused"] = refused
+        if any(m.allocator.modeled for m in mmus):
+            # Allocator-axis telemetry: raw byte/step tallies sum across
+            # racks, fragmentation fractions are recomputed from the sums.
+            from ..alloc import alloc_gauges
+
+            stats.counters["alloc_ops"] = sum(m.control_cpu.alloc_ops for m in mmus)
+            stats.set_gauge("alloc:cpu_us", sum(m.control_cpu.alloc_us for m in mmus))
+            merged = alloc_gauges([m.allocator.raw_telemetry() for m in mmus])
+            for name, value in merged.items():
+                stats.set_gauge(name, value)
+        edge_bytes = sum(node.network.total_bytes() for node in nodes)
+        edge_dropped = sum(node.network.total_packets_dropped() for node in nodes)
+        spine_links = [link for node in nodes for link in (node.uplink, node.downlink)]
+        spine_bytes = sum(link.bytes_carried for link in spine_links)
+        spine_dropped = sum(link.packets_dropped for link in spine_links)
+        spine_util = max((link.utilization() for link in spine_links), default=0.0)
+        stats.counters["spine_forwards"] = sum(m.pipeline.forwards for m in mmus)
+        stats.set_gauge("tier:edge:bytes", float(edge_bytes))
+        stats.set_gauge("tier:spine:bytes", float(spine_bytes))
+        stats.set_gauge("tier:spine:utilization_max", spine_util)
+        dropped = edge_dropped + spine_dropped
+        if dropped:
+            stats.counters["link_packets_dropped"] = int(dropped)
+        timeline = stats.timeline
         if timeline is not None:
             timeline.finalize(self.engine.now)
 
@@ -312,64 +311,3 @@ class MultiRackFabric:
         procs = [self.engine.process(g) for g in gens]
         return self.engine.run_until_complete(self.engine.all_of(procs))
 
-
-def aggregate_rack_telemetry(
-    stats, raws: List[Dict[str, Any]], runtime_us: float
-) -> None:
-    """Fold per-rack raw tallies (in rack order) into fabric telemetry.
-
-    The single aggregation routine shared by the serial capture path and
-    the parallel-rack merge: summation order is fixed by the rack order of
-    ``raws``, so both paths produce bit-identical counters and gauges.
-    ``runtime_us`` is the horizon utilizations are evaluated against --
-    the owning engine's clock in the serial case, the global makespan
-    (max over component workers) in the parallel case.
-    """
-    stats.counters["directory_peak"] = sum(r["directory_peak"] for r in raws)
-    stats.counters["directory_final"] = sum(r["directory_final"] for r in raws)
-    stats.counters["match_action_rules"] = sum(
-        r["match_action_rules"] for r in raws
-    )
-    stats.counters["pipeline_passes"] = sum(r["pipeline_passes"] for r in raws)
-    stats.counters["recirculations"] = sum(r["recirculations"] for r in raws)
-    stats.counters["pending_table_peak"] = max(
-        r["pending_table_peak"] for r in raws
-    )
-    stalls = sum(r["control_cpu_stalls"] for r in raws)
-    if stalls:
-        stats.counters["control_cpu_stalls"] = stalls
-        stats.set_gauge(
-            "control_cpu_stall_us",
-            sum(r["control_cpu_stall_us"] for r in raws),
-        )
-    refused = sum(r["requests_refused"] for r in raws)
-    if refused:
-        stats.counters["blade_requests_refused"] = refused
-    if any(r["alloc_modeled"] for r in raws):
-        # Allocator-axis telemetry: raw byte/step tallies sum across
-        # racks, fragmentation fractions are recomputed from the sums.
-        from ..alloc import alloc_gauges
-
-        stats.counters["alloc_ops"] = sum(r["alloc_ops"] for r in raws)
-        stats.set_gauge("alloc:cpu_us", sum(r["alloc_us"] for r in raws))
-        merged = alloc_gauges([r["alloc_raw"] for r in raws])
-        for name, value in merged.items():
-            stats.set_gauge(name, value)
-    edge_bytes = sum(r["edge_bytes"] for r in raws)
-    edge_dropped = sum(r["edge_packets_dropped"] for r in raws)
-    spine_bytes = 0
-    spine_dropped = 0
-    spine_util = 0.0
-    for r in raws:
-        for link_bytes, link_dropped, busy, capacity in r["spine_links"]:
-            spine_bytes += link_bytes
-            spine_dropped += link_dropped
-            if runtime_us > 0:
-                spine_util = max(spine_util, busy / (runtime_us * capacity))
-    stats.counters["spine_forwards"] = sum(r["spine_forwards"] for r in raws)
-    stats.set_gauge("tier:edge:bytes", float(edge_bytes))
-    stats.set_gauge("tier:spine:bytes", float(spine_bytes))
-    stats.set_gauge("tier:spine:utilization_max", spine_util)
-    dropped = edge_dropped + spine_dropped
-    if dropped:
-        stats.counters["link_packets_dropped"] = int(dropped)

@@ -1,382 +1,5 @@
-"""Parallel-in-time multirack execution: independent racks, concurrent.
+"""Compatibility alias: multirack points always run on one serial engine."""
 
-A multirack scenario point with ``cross_fraction=0`` (or whose realized
-cross-rack draws happen to leave some racks never exchanging traffic) is
-several *disjoint* simulations sharing one engine: rack components that
-never touch each other's addresses, links or directories.  The serial
-runner still interleaves all of their events through a single clock; this
-module instead simulates each component in its own worker process and
-merges the results so the final :class:`~repro.sim.stats.RunResult` is
-**byte-identical** to the serial run -- the same guarantee the sweep's
-``--jobs`` fan-out makes across points, applied within one point.
+from .runner import run_multirack
 
-The conservative part of the design is the planner: two racks belong to
-the same component whenever *any* pre-generated thread stream homed on
-one touches pages homed on the other (the draws are pure functions of the
-seed, so planning never perturbs the simulation).  Anything that couples
-racks outside the access streams falls back to the serial runner
-entirely: windowed telemetry (one shared timeline) and modeled allocators
-(cross-rack gauge arithmetic).  Every shipped preset point has
-``cross_fraction > 0`` and therefore one fully-connected component --
-also the serial fallback -- so this path is opt-in twice over: a caller
-must ask for it *and* the workload must actually decompose.
-
-Why the merge is exact:
-
-- **Counters** are additive integers.  Workers report deltas over the
-  (deterministic, identical-everywhere) post-setup baseline; the merge
-  starts from a local setup-only fabric and adds the deltas.
-- **Latency samples** feed order-sensitive statistics (``numpy``'s
-  pairwise mean), so each worker logs ``(time, category, value)`` per
-  sample and the merge replays them in ``(time, component, local order)``
-  -- the same order the serial engine executes completion events, since
-  independent components only tie at synchronized instants where the
-  serial tie-break follows process-creation (= rack) order.
-- **Gauges** go through the same :func:`aggregate_rack_telemetry` the
-  serial capture uses, over per-rack raw tallies collected from each
-  rack's owning worker, with utilization evaluated against the global
-  makespan (max over components) rather than any worker's local clock.
-"""
-
-from __future__ import annotations
-
-import heapq
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
-
-import numpy as np
-
-from ..blades.consistency import ConsistencyModel
-from ..sim.network import PAGE_SIZE
-from ..sim.stats import RunResult
-from ..workloads.openloop import open_loop_thread, thread_arrival_seed
-from .fabric import MultiRackFabric, aggregate_rack_telemetry
-from .runner import (
-    MultiRackScenarioConfig,
-    _thread_draws,
-    _thread_stream,
-    build_fabric,
-    run_multirack,
-)
-
-#: process-wide enablement (None = serial, the default).  Set from the
-#: CLI (``--rack-parallel``); deliberately *not* part of the scenario
-#: config so sweep point identities, spec digests and documents are
-#: unaffected -- exactly how ``--jobs`` stays out of sweep documents.
-_rack_workers: Optional[int] = None
-
-
-def set_rack_parallelism(workers: Optional[int]) -> None:
-    """Enable (worker count) or disable (None) parallel-rack execution."""
-    global _rack_workers
-    _rack_workers = workers if workers and workers > 0 else None
-
-
-def rack_parallelism() -> Optional[int]:
-    return _rack_workers
-
-
-# -- planning ----------------------------------------------------------------
-
-
-def plan_components(
-    config: MultiRackScenarioConfig,
-) -> Optional[List[Tuple[int, ...]]]:
-    """Partition racks into independent components, or None for serial.
-
-    Replays every thread's seeded rack draws (cheap: the arrays, not the
-    simulation) and unions a blade's home rack with every rack its stream
-    touches.  Serial when anything couples racks outside the streams
-    (telemetry timeline, modeled allocator) or when the realized draws
-    leave a single connected component.
-    """
-    if config.racks < 2 or config.telemetry or config.allocator is not None:
-        return None
-    parent = list(range(config.racks))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    num_blades = config.racks * config.compute_blades_per_rack
-    for blade_id in range(num_blades):
-        home = blade_id // config.compute_blades_per_rack
-        for thread_id in range(config.threads_per_blade):
-            racks, _pages, _writes = _thread_draws(
-                config, home, blade_id, thread_id
-            )
-            for rack in np.unique(racks):
-                union(home, int(rack))
-    groups: Dict[int, List[int]] = {}
-    for rack in range(config.racks):
-        groups.setdefault(find(rack), []).append(rack)
-    components = sorted(
-        (tuple(sorted(members)) for members in groups.values()),
-        key=lambda component: component[0],
-    )
-    if len(components) < 2:
-        return None
-    return components
-
-
-# -- per-component worker ----------------------------------------------------
-
-
-@dataclass
-class _ComponentPartial:
-    """Everything one component's worker run contributes to the merge."""
-
-    racks: Tuple[int, ...]
-    #: counter deltas over the post-setup baseline (additive integers).
-    counters: Dict[str, int]
-    #: every latency sample as (record time, category, value), in order.
-    samples: List[Tuple[float, str, float]]
-    #: per-series timeseries points recorded during the run.
-    timeseries: Dict[str, List[Tuple[float, float]]]
-    #: breakdown deltas (category -> component -> accumulated value).
-    breakdowns: Dict[str, Dict[str, float]]
-    #: rack -> raw telemetry tallies (each rack owned by exactly one
-    #: component, so absolute post-run values merge without double count).
-    rack_raws: Dict[int, Dict[str, Any]]
-    final_now: float
-    kernel_stats: Dict[str, int] = field(default_factory=dict)
-
-
-def _component_threads(
-    fabric: MultiRackFabric,
-    config: MultiRackScenarioConfig,
-    bases: List[int],
-    racks: Optional[frozenset],
-) -> List:
-    """The scenario's thread generators, optionally restricted to one
-    component's racks.  Mirrors :func:`run_multirack`'s loop exactly:
-    streams are per-thread seeded, so skipping other components' blades
-    does not perturb the draws of the ones that run."""
-    arrival = config.arrival_spec()
-    gens = []
-    for blade in fabric.compute_blades:
-        if racks is not None and blade.home_rack not in racks:
-            continue
-        for t in range(config.threads_per_blade):
-            stream = _thread_stream(
-                config, bases, blade.home_rack, blade.blade_id, t
-            )
-            if arrival is None:
-                gens.append(blade.run_thread(_SCENARIO_PDID, stream))
-            else:
-                seed = thread_arrival_seed(
-                    "multirack",
-                    config.seed,
-                    blade.blade_id * 10_000 + t,
-                )
-                gens.append(
-                    open_loop_thread(
-                        blade,
-                        _SCENARIO_PDID,
-                        stream,
-                        arrival,
-                        seed,
-                        ConsistencyModel.TSO,
-                        name=f"mr{blade.blade_id}.{t}",
-                    )
-                )
-    return gens
-
-
-#: the scenario's (single) global PDID; first spawn_process yields 1.
-_SCENARIO_PDID = 1
-
-
-def _setup_fabric(
-    config: MultiRackScenarioConfig,
-) -> Tuple[MultiRackFabric, List[int]]:
-    """Build the fabric and map the per-rack pools (the setup phase both
-    the serial runner and every worker perform identically)."""
-    fabric = build_fabric(config)
-    pdid = fabric.spawn_process("scale")
-    assert pdid == _SCENARIO_PDID
-    pool_bytes = config.pages_per_rack * PAGE_SIZE
-    bases = [
-        fabric.mmap(pdid, pool_bytes, rack=r) for r in range(config.racks)
-    ]
-    return fabric, bases
-
-
-def _run_component(
-    config: MultiRackScenarioConfig, racks: Tuple[int, ...]
-) -> _ComponentPartial:
-    """Worker entry: full fabric build, this component's threads only.
-
-    Building the *full* fabric (all racks, all blades, every pool mapped)
-    keeps blade ids, port ids, seeds and VA bases identical to the serial
-    run; only the generators actually started are restricted, which is
-    sound because no other component's thread interacts with this one's
-    racks.  Must stay module-level: spawn workers pickle it by name.
-    """
-    fabric, bases = _setup_fabric(config)
-    stats = fabric.stats
-    base_counters = dict(stats.counters)
-    base_series = {k: len(v) for k, v in stats.timeseries.items()}
-    base_breakdowns = {
-        cat: dict(comps) for cat, comps in stats.breakdowns.items()
-    }
-    samples: List[Tuple[float, str, float]] = []
-    engine = fabric.engine
-    original_record = stats.record_latency
-
-    def logging_record(category: str, value: float) -> None:
-        samples.append((engine.now, category, value))
-        original_record(category, value)
-
-    # Instance-attribute shadow: every call site looks the method up per
-    # call, so this intercepts exactly the run-phase samples (installed
-    # after setup) without any cost on the serial path.
-    stats.record_latency = logging_record  # type: ignore[method-assign]
-    fabric.run_all(_component_threads(fabric, config, bases, frozenset(racks)))
-    counters = {
-        name: value - base_counters.get(name, 0)
-        for name, value in stats.counters.items()
-        if value != base_counters.get(name, 0)
-    }
-    timeseries = {
-        name: list(points[base_series.get(name, 0):])
-        for name, points in stats.timeseries.items()
-        if len(points) > base_series.get(name, 0)
-    }
-    breakdowns: Dict[str, Dict[str, float]] = {}
-    for cat, comps in stats.breakdowns.items():
-        base = base_breakdowns.get(cat, {})
-        delta = {
-            comp: value - base.get(comp, 0.0)
-            for comp, value in comps.items()
-            if value != base.get(comp, 0.0)
-        }
-        if delta:
-            breakdowns[cat] = delta
-    return _ComponentPartial(
-        racks=racks,
-        counters=counters,
-        samples=samples,
-        timeseries=timeseries,
-        breakdowns=breakdowns,
-        rack_raws={r: fabric.rack_telemetry_raw(r) for r in racks},
-        final_now=engine.now,
-        kernel_stats=fabric.engine.kernel_stats(),
-    )
-
-
-def _execute_components(
-    config: MultiRackScenarioConfig,
-    components: List[Tuple[int, ...]],
-    workers: Optional[int],
-) -> List[_ComponentPartial]:
-    """Run every component, in worker processes when more than one worker
-    is available.  Results come back in component order regardless of
-    completion order, so the merge is deterministic either way."""
-    max_workers = min(workers or os.cpu_count() or 1, len(components))
-    if max_workers <= 1:
-        return [_run_component(config, c) for c in components]
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(
-        max_workers=max_workers, mp_context=context
-    ) as pool:
-        futures = [
-            pool.submit(_run_component, config, c) for c in components
-        ]
-        return [f.result() for f in futures]
-
-
-# -- the merge ---------------------------------------------------------------
-
-
-def run_multirack_parallel(
-    config: MultiRackScenarioConfig, workers: Optional[int] = None
-) -> RunResult:
-    """Execute one scenario point with parallel-in-time rack components.
-
-    Byte-identical to :func:`run_multirack` (verified by
-    ``tests/multirack/test_parallel.py`` down to the sweep document's
-    metric floats); falls back to it outright when the point does not
-    decompose.  ``workers`` bounds the process fan-out (default: CPU
-    count); with one worker the components still run component-at-a-time
-    in-process, exercising the same merge.
-    """
-    components = plan_components(config)
-    if components is None:
-        return run_multirack(config)
-    partials = _execute_components(config, components, workers)
-
-    # The merged collector starts from a local setup-only replica: it
-    # contributes the (component-independent) setup-phase counters and any
-    # setup-phase samples exactly once, matching the serial run's prefix.
-    fabric, _bases = _setup_fabric(config)
-    stats = fabric.stats
-    for partial in partials:
-        for name in sorted(partial.counters):
-            stats.counters[name] += partial.counters[name]
-    # Serial sample order is engine event order: strictly by time, with
-    # cross-component ties only at lockstep instants where the serial
-    # tie-break follows process-creation (= component) order.  Decorated
-    # as (t, component, local index) the tuples are unique before the
-    # payload, so heapq.merge replays exactly that order.
-    decorated = [
-        [
-            (t, ci, si, category, value)
-            for si, (t, category, value) in enumerate(partial.samples)
-        ]
-        for ci, partial in enumerate(partials)
-    ]
-    for _t, _ci, _si, category, value in heapq.merge(*decorated):
-        stats.latencies[category].append(value)
-    # Doc-invisible extras (never in sweep metrics), merged best-effort in
-    # component order: timeseries points carry their own timestamps, and
-    # breakdown sums may differ from serial in the last ulp (float
-    # addition order).
-    for partial in partials:
-        for name, points in sorted(partial.timeseries.items()):
-            stats.timeseries[name].extend(points)
-        for cat in sorted(partial.breakdowns):
-            for comp in sorted(partial.breakdowns[cat]):
-                stats.add_breakdown(cat, comp, partial.breakdowns[cat][comp])
-    runtime_us = max(partial.final_now for partial in partials)
-    rack_raws: Dict[int, Dict[str, Any]] = {}
-    for partial in partials:
-        rack_raws.update(partial.rack_raws)
-    aggregate_rack_telemetry(
-        stats, [rack_raws[r] for r in range(config.racks)], runtime_us
-    )
-    kernel: Dict[str, int] = {}
-    for partial in partials:
-        for name, value in partial.kernel_stats.items():
-            kernel[name] = kernel.get(name, 0) + value
-    num_blades = len(fabric.compute_blades)
-    return RunResult(
-        system="mind",
-        workload="multirack",
-        num_blades=num_blades,
-        num_threads=num_blades * config.threads_per_blade,
-        runtime_us=runtime_us,
-        total_accesses=num_blades
-        * config.threads_per_blade
-        * config.accesses_per_thread,
-        stats=stats,
-        kernel_stats=kernel,
-    )
-
-
-def run_multirack_auto(config: MultiRackScenarioConfig) -> RunResult:
-    """Dispatch on the process-wide toggle: the sweep engine's entry."""
-    workers = rack_parallelism()
-    if workers is None:
-        return run_multirack(config)
-    return run_multirack_parallel(config, workers=workers)
+run_multirack_auto = run_multirack

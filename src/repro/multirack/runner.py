@@ -105,35 +105,6 @@ def config_from_params(params: Dict, **overrides) -> MultiRackScenarioConfig:
     return MultiRackScenarioConfig(**merged)
 
 
-def _thread_draws(
-    config: MultiRackScenarioConfig,
-    home_rack: int,
-    blade_id: int,
-    thread_id: int,
-):
-    """The seeded random draws behind one blade thread's stream.
-
-    Returns ``(racks, pages, writes)`` arrays.  Kept separate from VA
-    construction so the parallel-rack planner can inspect which racks a
-    thread touches without needing the mapped pool bases -- both callers
-    consume the RNG in exactly this order, so the streams agree.
-    """
-    rng = np.random.default_rng(
-        stable_seed("multirack", config.seed, blade_id, thread_id)
-    )
-    n = config.accesses_per_thread
-    if config.racks > 1:
-        cross = rng.random(n) < config.cross_fraction
-        other = rng.integers(0, config.racks - 1, n)
-        other = np.where(other >= home_rack, other + 1, other)
-        racks = np.where(cross, other, home_rack)
-    else:
-        racks = np.zeros(n, dtype=np.int64)
-    pages = rng.integers(0, config.pages_per_rack, n)
-    writes = rng.random(n) >= config.read_ratio
-    return racks, pages, writes
-
-
 def _thread_stream(
     config: MultiRackScenarioConfig,
     bases: List[int],
@@ -148,18 +119,26 @@ def _thread_stream(
     a page uniform in the pool, and a write with probability
     ``1 - read_ratio``.
     """
-    racks, pages, writes = _thread_draws(config, home_rack, blade_id, thread_id)
+    rng = np.random.default_rng(
+        stable_seed("multirack", config.seed, blade_id, thread_id)
+    )
+    n = config.accesses_per_thread
+    if config.racks > 1:
+        cross = rng.random(n) < config.cross_fraction
+        other = rng.integers(0, config.racks - 1, n)
+        other = np.where(other >= home_rack, other + 1, other)
+        racks = np.where(cross, other, home_rack)
+    else:
+        racks = np.zeros(n, dtype=np.int64)
+    pages = rng.integers(0, config.pages_per_rack, n)
+    writes = rng.random(n) >= config.read_ratio
     vas = np.asarray(bases, dtype=np.int64)[racks] + pages * PAGE_SIZE
     return AccessStream.from_numpy(vas, writes)
 
 
-def build_fabric(config: MultiRackScenarioConfig) -> MultiRackFabric:
-    return MultiRackFabric(config.fabric_config())
-
-
 def run_multirack(config: MultiRackScenarioConfig) -> RunResult:
     """Execute one scenario point; deterministic in ``config`` alone."""
-    fabric = build_fabric(config)
+    fabric = MultiRackFabric(config.fabric_config())
     pdid = fabric.spawn_process("scale")
     pool_bytes = config.pages_per_rack * PAGE_SIZE
     bases = [

@@ -19,34 +19,22 @@ inputs and seeds.
 Fast paths (all order-preserving -- see DESIGN.md "kernel performance
 model" for the argument):
 
-- Future-time wake-ups live in a *calendar queue*: a rotating wheel of
-  :data:`WHEEL_SLOTS` buckets, each covering one ``width``-microsecond
-  window of simulated time.  Inserting into a future bucket is a plain
-  list append (O(1)); only the bucket under the cursor is kept
-  heap-ordered (heapified once when the cursor reaches it), and timers
-  beyond the wheel's horizon overflow into a small heap that is drained
-  as the cursor advances.  The bucket width adapts to the observed
-  inter-event gap so buckets stay a few entries deep.  Total order is
-  exactly the single-heap order: bucket assignment is monotone in time
-  and every bucket is heap-ordered by ``(time, seq)`` before it is
-  popped.  The earliest pending timer's ``(time, seq)`` is tracked in
-  ``_due_head``/``_due_seq`` so fast-path guards cost one float compare.
+- Future-time wake-ups live in one binary heap keyed by ``(time, seq)``.
+  The earliest pending timer's key is mirrored in ``_due_head`` /
+  ``_due_seq`` so every fast-path guard costs one float compare.
 - Zero-delay schedules (event callbacks, process starts) go to a FIFO
-  *ready deque* instead of the calendar.  The run loop merges the deque
-  and the calendar by the global ``(time, insertion seq)`` key, so
-  execution order is exactly the order a single queue would have
-  produced, while the dominant ``succeed()``-at-now traffic never pays
-  any queue discipline at all.
-- When a process waits on an *already-triggered* event (uncontended
-  ``Resource.acquire``, joining a completed process) and no other event is
-  due at the current timestamp, it resumes synchronously instead of taking
-  a zero-delay trip through the scheduler.  The guard makes the fast path
-  unobservable: the continuation would have been the very next event to
-  execute anyway.  A bounded continuation depth
-  (:data:`MAX_INLINE_CONTINUATIONS`) keeps pathological always-ready
-  chains from starving the loop.  ``Resource.try_acquire`` applies the
-  same guard one step earlier: an uncontended grant that would have been
-  the next event anyway is taken inline, with no event object at all.
+  *ready deque* instead of the heap.  The run loop merges the deque and
+  the heap by the global ``(time, insertion seq)`` key, so execution order
+  is exactly the order a single queue would have produced, while the
+  dominant ``succeed()``-at-now traffic never pays any queue discipline.
+- A positive delay whose wake-up is provably the globally next event
+  (ready deque empty, every pending timer strictly later) advances the
+  clock in place instead of taking a round-trip through the heap.  A
+  per-resume budget (:data:`MAX_INLINE_ADVANCES`) keeps always-advancing
+  chains from starving the loop.  ``Resource.try_acquire`` and
+  ``Engine.subtask`` apply the same "nothing else is due now" guard: an
+  uncontended grant, or a spawn-and-join child, that would have run next
+  anyway is taken inline.
 - Events created by ``Resource.acquire`` and ``Engine.timeout`` are
   recycled through a bounded freelist.  Pooled events are single-consumer
   by contract: exactly one process yields them, and their ``.value`` must
@@ -56,32 +44,17 @@ model" for the argument):
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from ..obs.tracer import NULL_TRACER
 
-#: consecutive synchronous continuations one process may take before being
-#: bounced through the ready deque (guards against unbounded inline chains).
-MAX_INLINE_CONTINUATIONS = 64
+#: consecutive inline clock advances one process may take before its
+#: wake-up goes through the timer heap (guards against unbounded chains).
+MAX_INLINE_ADVANCES = 64
 
 #: recycled events kept per engine; beyond this they fall to the GC.
 EVENT_POOL_CAPACITY = 1024
-
-#: calendar-queue geometry: a power-of-two bucket count so slot indexing is
-#: a mask, wide enough that one revolution covers the near future at any
-#: adapted width.
-WHEEL_SLOTS = 256
-WHEEL_MASK = WHEEL_SLOTS - 1
-
-#: starting bucket width (microseconds of simulated time per bucket); the
-#: engine re-derives it from the observed inter-pop gap as the run warms up.
-DEFAULT_BUCKET_WIDTH_US = 2.0
-MIN_BUCKET_WIDTH_US = 0.25
-MAX_BUCKET_WIDTH_US = 64.0
-#: timer pops between bucket-width recalibrations.
-WIDTH_ADAPT_EVERY = 4096
 
 _INF = float("inf")
 
@@ -196,13 +169,12 @@ class Process(Event):
         if _wake is None:
             value = None
         else:
-            # Pooled events are single-consumer (the value is read here,
-            # the object is never retained), so a wake-up that arrived via
-            # the scheduler can recycle exactly like the inline path does.
+            # Pooled events are single-consumer: the value is read here and
+            # the object is never retained, so it can be recycled at once.
             value = _wake.value
             if _wake._pooled:
                 engine._recycle(_wake)
-        inline_budget = MAX_INLINE_CONTINUATIONS
+        inline_budget = MAX_INLINE_ADVANCES
         while True:
             try:
                 target = send(value)
@@ -223,22 +195,6 @@ class Process(Event):
             # int/numpy delays take the isinstance fallbacks below.
             if type(target) is not float:
                 if isinstance(target, Event):
-                    if (
-                        target.triggered
-                        and inline_budget > 0
-                        and not ready
-                        and engine._due_head > engine.now
-                    ):
-                        # Synchronous continuation: the scheduled wake-up
-                        # would have been the next event executed, so running
-                        # it now is unobservable -- and skips a scheduler
-                        # round-trip.
-                        inline_budget -= 1
-                        engine.inline_continuations += 1
-                        value = target.value
-                        if target._pooled:
-                            engine._recycle(target)
-                        continue
                     target.add_callback(self._resume)
                     return
                 if not isinstance(target, (int, float)):
@@ -269,15 +225,6 @@ class Process(Event):
                 return
             if target < 0.0:
                 raise SimulationError(f"negative timeout: {target!r}")
-            if (
-                inline_budget > 0
-                and not ready
-                and engine._due_head > engine.now
-            ):
-                inline_budget -= 1
-                engine.inline_continuations += 1
-                value = None
-                continue
             engine._schedule_now(self._resume, (None,))
             return
 
@@ -296,43 +243,23 @@ class Engine:
     def __init__(self) -> None:
         self.now: float = 0.0
         #: zero-delay entries, FIFO in insertion order; merged with the
-        #: calendar by (time, seq) so the execution order matches a single
+        #: timer heap by (time, seq) so the execution order matches a single
         #: queue.
         self._ready: deque = deque()
         self._counter = 0
         #: time limit of the innermost ``run(until=...)``; the inline
         #: clock-advance fast path must never step past it, because the
-        #: slow path leaves later wake-ups parked in the calendar.
+        #: slow path leaves later wake-ups parked in the heap.
         self._until: Optional[float] = None
         self._processes_started = 0
-        # -- calendar queue (future-time wake-ups) ----------------------
-        #: rotating buckets; plain unsorted lists except the bucket under
-        #: the cursor, which is heap-ordered by (time, seq).
-        self._wheel: List[List] = [[] for _ in range(WHEEL_SLOTS)]
-        #: entries currently resident in the wheel (not the overflow heap).
-        self._wheel_count = 0
-        #: global bucket number of the cursor; slot index is epoch & MASK.
-        self._epoch = 0
-        #: simulated microseconds of time each bucket covers.
-        self._width = DEFAULT_BUCKET_WIDTH_US
-        #: first timestamp past the wheel's horizon; entries at or beyond
-        #: it go to the overflow heap.
-        self._wheel_limit = WHEEL_SLOTS * DEFAULT_BUCKET_WIDTH_US
-        #: far-future timers, heap-ordered; drained as the cursor advances.
-        self._overflow: List = []
+        #: future-time wake-ups, a binary heap of (time, seq, fn, args).
+        self._timers: List = []
         #: (time, seq) of the earliest pending timer (+inf when none) --
         #: the one-compare guard every fast path checks.
         self._due_head: float = _INF
         self._due_seq = 0
-        #: timer pops since engine start / since the last width adaptation.
-        self._timer_pops = 0
-        self._adapt_pops = 0
-        self._adapt_now = 0.0
         # -- kernel counters --------------------------------------------
         self.events_executed = 0
-        #: waits short-circuited by the synchronous-continuation fast path
-        #: (each one is a scheduler round-trip that never happened).
-        self.inline_continuations = 0
         #: positive-delay waits absorbed by advancing the clock in place:
         #: the wake-up was provably the globally next event, so the queue
         #: round-trip is skipped and ``now`` is set directly.
@@ -340,10 +267,6 @@ class Engine:
         #: spawn-and-join children run as plain nested generators because
         #: nothing else was due at the instant they started (see subtask).
         self.subtasks_fused = 0
-        #: cursor advances across calendar buckets (including horizon jumps).
-        self.calendar_rotations = 0
-        #: wheel rebuilds triggered by bucket-width adaptation.
-        self.calendar_rebuilds = 0
         #: cache-hit runs retired in one batch by the vectorized replay
         #: path (see ComputeBlade.run_thread); counted here so the perf
         #: harness sees all kernel-side fast paths in one place.
@@ -375,88 +298,22 @@ class Engine:
         self._ready.append((self.now, self._counter, fn, args))
 
     def _push_timer(self, wake: float, fn: Callable, args: tuple) -> None:
-        """Insert a future-time entry into the calendar (internal hot path).
-
-        Bucket assignment is monotone in ``wake`` (one float divide), so
-        popping buckets in cursor order after heapifying each preserves the
-        exact (time, seq) total order of a single heap.
-        """
+        """Insert a future-time entry into the timer heap (internal hot path)."""
         self._counter += 1
-        entry = (wake, self._counter, fn, args)
-        if wake >= self._wheel_limit:
-            # Beyond the horizon (or +inf): park in the overflow heap; the
-            # cursor drains it as it sweeps forward.
-            heapq.heappush(self._overflow, entry)
-        else:
-            epoch = self._epoch
-            bucket = int(wake / self._width)
-            if bucket <= epoch:
-                # At (or, after an inline clock advance, behind) the cursor
-                # bucket: keep that bucket heap-ordered.
-                heapq.heappush(self._wheel[epoch & WHEEL_MASK], entry)
-            else:
-                self._wheel[bucket & WHEEL_MASK].append(entry)
-            self._wheel_count += 1
+        heapq.heappush(self._timers, (wake, self._counter, fn, args))
         if wake < self._due_head:
             self._due_head = wake
             self._due_seq = self._counter
-
-    def _refill_cursor(self) -> Optional[List]:
-        """Advance the cursor to the next non-empty bucket and heapify it.
-
-        Pulls overflow entries due within each swept bucket's window along
-        the way, and jumps straight to the overflow head's bucket when the
-        wheel is empty (so sparse phases never pay an O(gap) scan).
-        Returns the new cursor bucket, or None when no timers remain.
-        Precondition: the current cursor bucket is empty.
-        """
-        if self._timer_pops - self._adapt_pops >= WIDTH_ADAPT_EVERY:
-            self._maybe_resize()
-        wheel = self._wheel
-        overflow = self._overflow
-        width = self._width
-        epoch = self._epoch
-        count = self._wheel_count
-        if not count:
-            if not overflow:
-                return None
-            jump = int(overflow[0][0] / width) - 1
-            if jump > epoch:
-                epoch = jump
-        rotations = 0
-        heappop = heapq.heappop
-        while True:
-            epoch += 1
-            rotations += 1
-            cur = wheel[epoch & WHEEL_MASK]
-            boundary = (epoch + 1) * width
-            while overflow and overflow[0][0] < boundary:
-                cur.append(heappop(overflow))
-                count += 1
-            if cur:
-                break
-        heapq.heapify(cur)
-        self._epoch = epoch
-        self._wheel_count = count
-        self._wheel_limit = (epoch + WHEEL_SLOTS) * width
-        self.calendar_rotations += rotations
-        return cur
 
     def _timer_pop(self):
         """Pop the earliest timer entry; maintains ``_due_head``/``_due_seq``.
 
         Precondition: at least one timer is pending (``_due_head < inf``).
         """
-        cur = self._wheel[self._epoch & WHEEL_MASK]
-        if not cur:
-            cur = self._refill_cursor()
-        entry = heapq.heappop(cur)
-        self._wheel_count -= 1
-        self._timer_pops += 1
-        if not cur:
-            cur = self._refill_cursor()
-        if cur:
-            head = cur[0]
+        timers = self._timers
+        entry = heapq.heappop(timers)
+        if timers:
+            head = timers[0]
             self._due_head = head[0]
             self._due_seq = head[1]
         else:
@@ -464,49 +321,9 @@ class Engine:
             self._due_seq = 0
         return entry
 
-    def _maybe_resize(self) -> None:
-        """Re-derive the bucket width from the observed inter-pop gap.
-
-        Aims for a few entries per bucket; widths snap to powers of two so
-        jitter in the gap estimate cannot thrash the wheel.  A rebuild dumps
-        every wheel entry into the overflow heap and re-anchors the cursor
-        at the current clock -- the entry set and its total order are
-        untouched, so this is invisible to the simulation.
-        """
-        pops = self._timer_pops
-        delta = pops - self._adapt_pops
-        span = self.now - self._adapt_now
-        self._adapt_pops = pops
-        self._adapt_now = self.now
-        if span <= 0.0 or delta <= 0:
-            return
-        target = (span / delta) * 4.0
-        if target < MIN_BUCKET_WIDTH_US:
-            target = MIN_BUCKET_WIDTH_US
-        elif target > MAX_BUCKET_WIDTH_US:
-            target = MAX_BUCKET_WIDTH_US
-        new_width = 2.0 ** round(math.log2(target))
-        if new_width < MIN_BUCKET_WIDTH_US:
-            new_width = MIN_BUCKET_WIDTH_US
-        elif new_width > MAX_BUCKET_WIDTH_US:
-            new_width = MAX_BUCKET_WIDTH_US
-        if new_width == self._width:
-            return
-        overflow = self._overflow
-        for bucket in self._wheel:
-            if bucket:
-                for entry in bucket:
-                    heapq.heappush(overflow, entry)
-                del bucket[:]
-        self._wheel_count = 0
-        self._width = new_width
-        self._epoch = int(self.now / new_width)
-        self._wheel_limit = (self._epoch + WHEEL_SLOTS) * new_width
-        self.calendar_rebuilds += 1
-
     def pending_timer_count(self) -> int:
-        """Future-time entries currently parked (wheel + overflow)."""
-        return self._wheel_count + len(self._overflow)
+        """Future-time entries currently parked in the timer heap."""
+        return len(self._timers)
 
     def _pooled_event(self) -> Event:
         """A recycled (or fresh) single-consumer event."""
@@ -539,11 +356,8 @@ class Engine:
         return {
             "events_executed": self.events_executed,
             "processes_started": self._processes_started,
-            "inline_continuations": self.inline_continuations,
             "inline_clock_advances": self.inline_clock_advances,
             "subtasks_fused": self.subtasks_fused,
-            "calendar_rotations": self.calendar_rotations,
-            "calendar_rebuilds": self.calendar_rebuilds,
             "batched_retires": self.batched_retires,
         }
 
@@ -562,8 +376,8 @@ class Engine:
         """Spawn-and-join a child generator: ``result = yield from
         engine.subtask(gen)`` is semantically ``yield engine.process(gen)``.
 
-        When nothing else is due at the current instant (the same condition
-        that makes synchronous continuations unobservable) and tracing is
+        When nothing else is due at the current instant (so the child's
+        start would have been the next event executed) and tracing is
         off, the child generator itself is returned and the caller's
         ``yield from`` drives it directly -- no Process allocation, no
         scheduler round-trips, no completion-event machinery, not even a
@@ -599,7 +413,7 @@ class Engine:
     # -- execution -----------------------------------------------------
 
     def _next_entry(self):
-        """Pop the globally next (time, seq) entry from deque + calendar."""
+        """Pop the globally next (time, seq) entry from deque + heap."""
         ready = self._ready
         if ready:
             due = self._due_head
@@ -820,7 +634,7 @@ class Resource:
         Only takes effect when the grant is provably unobservable: the
         resource has a free server *and* nothing else is due at the current
         instant, so the acquiring process would have been resumed next
-        anyway (the same guard the synchronous-continuation path uses).  On
+        anyway (the same guard ``Engine.subtask`` uses).  On
         False the caller must fall back to ``yield self.acquire()``.
         """
         if self._in_use >= self.capacity:
@@ -893,14 +707,3 @@ class Resource:
         if self.engine.now <= 0:
             return 0.0
         return self.busy_time / (self.engine.now * self.capacity)
-
-    def busy_integral(self) -> float:
-        """Capacity-time integral of use so far (advances accounting first).
-
-        Dividing by ``horizon * capacity`` reproduces :meth:`utilization`
-        against an arbitrary horizon -- the parallel multirack merge needs
-        this to evaluate utilization against the *global* makespan rather
-        than one worker engine's local clock.
-        """
-        self._account()
-        return self.busy_time

@@ -130,12 +130,17 @@ class Link:
         """Entire uncontended leg (serialization + propagation) as ONE
         delay; -1.0 means fall back to :meth:`try_start` / :meth:`transfer`.
 
+        It has no data-path caller: on the repo benchmark's workloads the
+        guard below admitted at most ~2% of calls, so the protocol code
+        uses :meth:`try_start` / :meth:`finish` only.  It is kept for the
+        layer microbenchmark of one wire leg.
+
         Strictly stronger guard than :meth:`try_start`: besides an idle
         wire, a fault-free link and an empty ready deque, no parked timer
         may be due before ``now + ser + prop`` and no ``run(until=...)``
         limit may cut inside that window.  Under those conditions *no
         other event can execute* anywhere in the open interval -- events
-        only spring from the ready deque, the timer wheel, or code this
+        only spring from the ready deque, the timer heap, or code this
         frame runs -- so nobody can observe (or contend for) the wire
         mid-leg.  The hold is therefore virtual: the busy-time integral
         is credited as a lump sum at the start and the server is never
@@ -263,11 +268,6 @@ class Link:
     def utilization(self) -> float:
         return self._resource.utilization()
 
-    def busy_stats(self) -> Tuple[float, int]:
-        """``(busy_time integral, capacity)`` for horizon-independent
-        utilization accounting (see :meth:`Resource.busy_integral`)."""
-        return self._resource.busy_integral(), self._resource.capacity
-
 
 class CompositePath:
     """A multi-segment one-way path that quacks like a :class:`Link`.
@@ -309,10 +309,6 @@ class CompositePath:
         self.bytes_carried = 0
         self.packets_dropped = 0
         self.bytes_dropped = 0
-
-    def try_leg(self, size_bytes: int) -> float:
-        """Multi-leg paths always take the full :meth:`transfer` path."""
-        return -1.0
 
     def try_start(self, size_bytes: int) -> float:
         """Multi-leg paths always take the full :meth:`transfer` path."""

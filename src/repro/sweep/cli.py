@@ -90,17 +90,6 @@ def add_sweep_parser(sub: argparse._SubParsersAction) -> None:
         help="relative tolerance for the regression gate (default 0.15)",
     )
     parser.add_argument(
-        "--rack-parallel",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "simulate independent rack components of a multirack point in "
-            "up to N concurrent worker processes (byte-identical to the "
-            "serial run; effective for in-process points, i.e. --jobs 1)"
-        ),
-    )
-    parser.add_argument(
         "--no-resume",
         action="store_true",
         help="ignore a matching partial document in --out; rerun all points",
@@ -131,10 +120,6 @@ def main(args: argparse.Namespace) -> int:
     grids.extend(parse_grid(text) for text in args.grid)
     if not grids:
         raise SystemExit("nothing to run: pass --grid and/or --preset")
-    if args.rack_parallel is not None:
-        from ..multirack.parallel import set_rack_parallelism
-
-        set_rack_parallelism(args.rack_parallel)
     spec = SweepSpec(grids, _parse_seeds(args.seeds))
     points = spec.points()
     if not args.quiet:

@@ -173,8 +173,7 @@ def _execute_topology_point(point: SweepPoint) -> PointRecord:
     Every access stream derives from ``stable_seed`` children of that
     seed, so topology sweeps are byte-identical at any ``--jobs``.
     """
-    from ..multirack import config_from_params
-    from ..multirack.parallel import run_multirack_auto
+    from ..multirack import config_from_params, run_multirack
 
     params = dict(point.workload_params)
     params.update(dict(point.runner_params))
@@ -184,9 +183,7 @@ def _execute_topology_point(point: SweepPoint) -> PointRecord:
         threads_per_blade=point.threads_per_blade,
         seed=point.seed,
     )
-    # Serial unless --rack-parallel armed the process-wide toggle; the
-    # parallel path is byte-identical, so documents never depend on it.
-    result = run_multirack_auto(config)
+    result = run_multirack(config)
     record = PointRecord(point=point, metrics=extract_metrics(result))
     if result.stats.timeline is not None:
         record.timeline = result.stats.timeline.to_json()

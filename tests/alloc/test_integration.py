@@ -102,27 +102,7 @@ class TestFailoverReplay:
             assert (p1.blade_id, p1.va_base) == (p2.blade_id, p2.va_base)
 
 
-class TestDeprecationShim:
-    @pytest.mark.parametrize(
-        "name",
-        ["FirstFitAllocator", "GlobalAllocator", "BladeAllocation", "OutOfMemoryError"],
-    )
-    def test_old_import_path_warns_and_resolves(self, name):
-        import repro.alloc
-        import repro.core.allocator as legacy
-
-        with pytest.warns(DeprecationWarning, match="import it from repro.alloc"):
-            obj = getattr(legacy, name)
-        assert obj is getattr(repro.alloc, name)
-
-    def test_unknown_attribute_raises_without_warning(self):
-        import repro.core.allocator as legacy
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(AttributeError):
-                legacy.SlabAllocator
-
+class TestCorePackageReexport:
     def test_core_package_reexport_is_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

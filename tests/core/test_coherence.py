@@ -368,31 +368,3 @@ class TestSwitchMechanics:
         touch(cluster, 0, pid, base, write=False)
         touch(cluster, 0, pid, base, write=False)  # hit, no fault
         assert cluster.stats.counter("remote_accesses") == 1
-
-
-class TestDeprecatedInjectorAliases:
-    """MessageLossInjector moved to repro.faults; the old names must keep
-    working but warn."""
-
-    def test_coherence_alias_warns_and_resolves(self):
-        from repro.core import coherence
-
-        with pytest.warns(DeprecationWarning, match="repro.faults"):
-            cls = coherence.FaultInjector
-        assert cls is MessageLossInjector
-        with pytest.warns(DeprecationWarning, match="repro.faults"):
-            cls = coherence.MessageLossInjector
-        assert cls is MessageLossInjector
-
-    def test_package_alias_warns_and_resolves(self):
-        import repro.core
-
-        with pytest.warns(DeprecationWarning, match="repro.faults"):
-            cls = repro.core.FaultInjector
-        assert cls is MessageLossInjector
-
-    def test_unknown_attribute_still_raises(self):
-        from repro.core import coherence
-
-        with pytest.raises(AttributeError):
-            coherence.NoSuchThing

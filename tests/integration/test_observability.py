@@ -1,11 +1,13 @@
 """End-to-end observability: traces span subsystems, CLI report works."""
 
 import json
+import math
 
 import pytest
 
 from repro.__main__ import main
 from repro.api import MindSystem
+from repro.faults import FaultPlan
 from repro.runner import RunnerConfig, run_system
 from repro.workloads import UniformSharingWorkload
 
@@ -54,6 +56,29 @@ def test_span_components_sum_to_fault_latency(traced_result):
     e2e = sum(stats.latencies["fault"])
     assert e2e > 0
     assert abs(span_sum - e2e) / e2e < 0.05
+
+
+def test_span_components_sum_to_fault_latency_across_a_switch_crash():
+    # Faults that arrive during the fail-over outage wait at the gate; that
+    # wait is its own "outage" component, so the breakdown still sums to
+    # the end-to-end latency.
+    workload = UniformSharingWorkload(
+        4,
+        accesses_per_thread=600,
+        read_ratio=0.5,
+        sharing_ratio=0.6,
+        shared_pages=200,
+        private_pages_per_thread=64,
+        seed=5,
+        burst=4,
+    )
+    plan = FaultPlan(seed=7).switch_crash(500.0)
+    stats = run_system("mind", workload, 2, RunnerConfig(fault_plan=plan)).stats
+    assert stats.counter("switch_crashes") == 1
+    breakdown = stats.breakdown("fault_path")
+    assert breakdown["outage"] > 0
+    e2e = math.fsum(stats.latencies["fault"])
+    assert abs(math.fsum(breakdown.values()) - e2e) <= 1e-9 * e2e
 
 
 def test_timestamps_are_simulated_not_wall_clock(traced_result):

@@ -1,126 +1,40 @@
-"""The calendar-queue timer core: the rotating bucket wheel, the
-overflow heap behind its horizon, and the exact (time, seq) total order
-they must jointly preserve.
+"""``run(until=...)`` on the timestamps that were structural edges of the
+former calendar-queue timer store: a 2 us bucket boundary (6 us) and the
+256-slot wheel horizon (512 us).
 
-The contract under test is the one the whole unobservability story rests
-on: the wheel is *only* a faster container for the same totally-ordered
-timer set a single heap would hold.  Entries with equal timestamps fire
-in insertion order no matter which structure (cursor bucket, future
-bucket, overflow heap) they happened to land in, ``run(until=...)``
-behaves identically whether the limit falls inside or exactly on a
-bucket edge, and the event freelist keeps recycling through the new pop
-path.
+The heap timer store has no buckets or horizon, so these are plain
+timestamps now; they are kept as regression cases because the stop rule
+(a timer at exactly ``until`` runs, a later one stays pending) is the one
+the old structure was most likely to get wrong at exactly these points.
 """
 
-from repro.sim.engine import (
-    DEFAULT_BUCKET_WIDTH_US,
-    WHEEL_SLOTS,
-    Engine,
-)
+from repro.sim.engine import Engine
 
-#: simulated horizon of a fresh engine's wheel: timers at or beyond this
-#: timestamp start life in the overflow heap.
-HORIZON_US = WHEEL_SLOTS * DEFAULT_BUCKET_WIDTH_US
-
-
-class TestSameTimestampFifo:
-    def test_fifo_preserved_across_wheel_and_overflow(self):
-        # Four callbacks share one wake timestamp but are inserted into
-        # different structures: the first two land beyond the horizon
-        # (overflow heap), then the clock advances so the horizon slides
-        # past the timestamp and the last two land in a wheel bucket.
-        # Execution must still follow pure insertion order.
-        engine = Engine()
-        order = []
-        engine.schedule(HORIZON_US, order.append, "overflow-0")
-        engine.schedule(HORIZON_US, order.append, "overflow-1")
-        engine.schedule(100.0, order.append, "advance")
-        engine.run(until=100.0)
-        assert engine.now == 100.0
-        engine.schedule(HORIZON_US - engine.now, order.append, "wheel-2")
-        engine.schedule(HORIZON_US - engine.now, order.append, "wheel-3")
-        engine.run()
-        assert order == [
-            "advance", "overflow-0", "overflow-1", "wheel-2", "wheel-3",
-        ]
-        assert engine.now == HORIZON_US
-
-    def test_fifo_on_a_shared_bucket_boundary(self):
-        # A timestamp exactly on a bucket edge belongs to exactly one
-        # bucket; interleaving it with same-instant zero-delay work and a
-        # neighbouring-bucket timer must reproduce single-queue order.
-        engine = Engine()
-        edge = 3 * DEFAULT_BUCKET_WIDTH_US
-        order = []
-
-        def proc():
-            yield edge  # wake exactly on the edge
-            order.append("sleeper")
-            engine.schedule(0.0, order.append, "ready-after")
-
-        engine.schedule(edge, order.append, "timer-first")
-        engine.process(proc())
-        engine.schedule(edge + DEFAULT_BUCKET_WIDTH_US, order.append, "next-bucket")
-        engine.run()
-        assert order == ["timer-first", "sleeper", "ready-after", "next-bucket"]
-
-
-class TestOverflowRejoinsWheel:
-    def test_far_future_timer_fires_exactly_without_sweeping(self):
-        # A timer 50k buckets past the horizon must fire at its exact
-        # timestamp, and the cursor must jump there rather than rotate
-        # through every empty bucket in between.
-        engine = Engine()
-        fired = []
-        engine.schedule(100_000.0, lambda: fired.append(engine.now))
-        engine.schedule(1.0, lambda: fired.append(engine.now))
-        engine.run()
-        assert fired == [1.0, 100_000.0]
-        assert engine.calendar_rotations < 1_000  # jumped, not swept
-
-    def test_overflow_interleaves_with_swept_buckets(self):
-        # As a sleeper walks the cursor across the original horizon, an
-        # overflow timer due inside a swept bucket's window must be
-        # pulled into that bucket and fire in correct global order.
-        engine = Engine()
-        events = []
-        far = HORIZON_US + 3.0
-        engine.schedule(far, lambda: events.append(("far", engine.now)))
-
-        def walker():
-            for _ in range(300):  # 300 x 2us strides past the horizon
-                yield DEFAULT_BUCKET_WIDTH_US
-            events.append(("walker-done", engine.now))
-
-        engine.process(walker())
-        engine.run()
-        assert ("far", far) in events
-        # The walker's stride at far's bucket ran in timestamp order.
-        walker_done = events.index(("walker-done", 600.0))
-        assert events.index(("far", far)) < walker_done
+#: a former bucket boundary: three 2 us buckets past t=0.
+EDGE_US = 6.0
+#: the former wheel horizon: 256 slots of 2 us each.
+HORIZON_US = 512.0
 
 
 class TestRunUntilBucketEdge:
     def test_stops_exactly_on_the_edge_and_resumes(self):
-        # until= exactly on a bucket boundary: a timer at the boundary is
-        # <= until so it runs; the next bucket's timer stays parked, and
-        # a later run() picks it up at its own timestamp.
+        # until= exactly on a timer's timestamp: that timer is <= until so
+        # it runs; a later one stays parked, and a later run() picks it up
+        # at its own timestamp.
         engine = Engine()
-        edge = 3 * DEFAULT_BUCKET_WIDTH_US
         hits = []
-        engine.schedule(edge, hits.append, "at-edge")
-        engine.schedule(edge + DEFAULT_BUCKET_WIDTH_US, hits.append, "later")
-        assert engine.run(until=edge) == edge
+        engine.schedule(EDGE_US, hits.append, "at-edge")
+        engine.schedule(EDGE_US + 2.0, hits.append, "later")
+        assert engine.run(until=EDGE_US) == EDGE_US
         assert hits == ["at-edge"]
-        assert engine.now == edge
+        assert engine.now == EDGE_US
         assert engine.pending_timer_count() == 1
         engine.run()
         assert hits == ["at-edge", "later"]
-        assert engine.now == edge + DEFAULT_BUCKET_WIDTH_US
+        assert engine.now == EDGE_US + 2.0
 
     def test_until_on_horizon_leaves_overflow_untouched(self):
-        # Stopping exactly at the wheel horizon: the overflow-resident
-        # timer at that very timestamp is *not* past the limit, so it
+        # A timer far out at the stop time is not past the limit, so it
         # runs; one strictly later stays pending.
         engine = Engine()
         hits = []
@@ -131,55 +45,3 @@ class TestRunUntilBucketEdge:
         assert engine.pending_timer_count() == 1
         engine.run()
         assert hits == ["at-horizon", "beyond"]
-
-
-class TestFreelistUnderCalendarPops:
-    def test_timeout_events_recycle_through_timer_pops(self):
-        # Positive-delay timeouts park in the calendar (delay > bucket
-        # width, so consecutive waits land in different buckets); the one
-        # pooled Event must be reused for every cycle, and the pops must
-        # actually flow through the calendar pop path.
-        engine = Engine()
-        ids = set()
-
-        def pin():
-            # A competitor due earlier keeps the sleeper off the inline
-            # clock-advance path, forcing real calendar traffic.
-            for _ in range(90):
-                yield 1.5
-
-        def proc():
-            for _ in range(40):
-                ev = engine.timeout(3.0, value="tick")
-                ids.add(id(ev))
-                got = yield ev
-                assert got == "tick"
-
-        engine.process(pin())
-        engine.process(proc())
-        engine.run()
-        assert len(ids) == 1  # one pooled event served all 40 waits
-        assert engine._event_pool  # ... and went back to the freelist
-        assert engine._timer_pops >= 40
-        assert engine.calendar_rotations > 0
-
-
-class TestWidthAdaptation:
-    def test_rebuild_keeps_order_and_counts(self):
-        # Two processes ping-ponging sub-bucket delays push enough timer
-        # pops to trigger width adaptation; the rebuild must be invisible
-        # (strict alternation preserved) and counted.
-        engine = Engine()
-        order = []
-
-        def proc(tag):
-            for _ in range(2_600):
-                yield 0.1
-                order.append(tag)
-
-        engine.process(proc("a"))
-        engine.process(proc("b"))
-        engine.run()
-        assert engine.calendar_rebuilds >= 1
-        assert order[:4] == ["a", "b", "a", "b"]
-        assert order == ["a", "b"] * 2_600

@@ -1,5 +1,5 @@
-"""The kernel fast paths: inline continuations, the ready deque, the
-event freelist, and subtask fusion.
+"""The kernel fast paths: the ready deque, the event freelist, inline
+clock advances, and subtask fusion.
 
 Every fast path is *unobservable* by design -- it may only fire when the
 result is identical to the scheduler round-trip it replaces -- so these
@@ -14,46 +14,32 @@ import pytest
 
 from repro.sim.engine import (
     EVENT_POOL_CAPACITY,
-    MAX_INLINE_CONTINUATIONS,
+    MAX_INLINE_ADVANCES,
     Engine,
     Resource,
 )
 
 
-class TestInlineContinuations:
-    def test_zero_delay_chain_completes_correctly(self):
+class TestZeroDelayOrder:
+    """A zero-delay wait always goes through the ready deque."""
+
+    def test_10k_zero_delay_chain_runs_through_ready_deque(self):
         engine = Engine()
+        n = 10_000
 
         def proc():
-            for _ in range(10_000):
+            for _ in range(n):
                 yield 0
             return "done"
 
         assert engine.run_process(proc()) == "done"
         assert engine.now == 0.0
-        assert engine.inline_continuations > 0
+        # The start plus one scheduler round-trip per zero-delay yield.
+        assert engine.events_executed == n + 1
 
-    def test_depth_bound_forces_scheduler_round_trips(self):
-        # The inline budget caps how many waits one dispatch may absorb:
-        # a chain of N zero-delay yields must surface to the scheduler at
-        # least every MAX_INLINE_CONTINUATIONS steps (bounded stack/starvation).
-        engine = Engine()
-        n = 10 * (MAX_INLINE_CONTINUATIONS + 1)
-
-        def proc():
-            for _ in range(n):
-                yield 0
-
-        engine.run_process(proc())
-        assert engine.inline_continuations < n
-        assert engine.events_executed >= n // (MAX_INLINE_CONTINUATIONS + 1)
-
-    def test_inline_never_overtakes_work_due_now(self):
-        # A triggered event may only be continued inline when nothing else
-        # is due at the current instant; otherwise that work would be
-        # (unobservably for the waiter, observably for everyone else)
-        # starved.  Two processes ping-ponging zero delays must interleave
-        # exactly as the plain scheduler would interleave them.
+    def test_ping_pong_zero_delays_interleave_fifo(self):
+        # Two processes ping-ponging zero delays must interleave exactly
+        # as a single FIFO queue would interleave them.
         engine = Engine()
         order = []
 
@@ -83,8 +69,8 @@ class TestInlineContinuations:
 
 class TestEventFreelist:
     def test_uncontended_acquire_events_are_recycled(self):
-        # An uncontended acquire is granted synchronously, so its event is
-        # consumed inline and goes straight back to the freelist; fifty
+        # An uncontended acquire is granted at once, so its event is
+        # consumed on the next resume and goes back to the freelist; fifty
         # acquire/release cycles must churn the same pooled object, not
         # allocate fifty events.
         engine = Engine()
@@ -223,6 +209,22 @@ class TestInlineClockAdvance:
         engine.run()
         assert reached[-1] == 30.0
 
+    def test_budget_forces_scheduler_round_trips(self):
+        # The budget caps how many advances one dispatch may absorb: a lone
+        # sleeper must surface to the scheduler at least every
+        # MAX_INLINE_ADVANCES steps (bounded starvation).
+        engine = Engine()
+        n = 10 * (MAX_INLINE_ADVANCES + 1)
+
+        def proc():
+            for _ in range(n):
+                yield 1.0
+
+        engine.run_process(proc())
+        assert engine.now == float(n)
+        assert engine.inline_clock_advances < n
+        assert engine.events_executed >= n // (MAX_INLINE_ADVANCES + 1)
+
     def test_timestamps_match_heap_path_bit_for_bit(self):
         # The advance stores now + delay exactly as the heap entry would
         # have, so accumulated float error is identical on both paths.
@@ -319,7 +321,7 @@ class TestKernelStats:
         engine.run_process(proc())
         stats = engine.kernel_stats()
         assert stats["events_executed"] == engine.events_executed
-        assert stats["inline_continuations"] == engine.inline_continuations
+        assert stats["inline_clock_advances"] == engine.inline_clock_advances
         assert stats["subtasks_fused"] == engine.subtasks_fused
         assert stats["processes_started"] >= 1
 
@@ -346,12 +348,9 @@ class TestBenchSpeedDocument:
         # (or re-blessing with a stale kernel) trips here.
         assert set(doc["kernel_totals"]) == set(Engine().kernel_stats())
 
-    def test_calendar_and_batch_counters_are_live(self):
+    def test_batch_counters_are_live(self):
         totals = self._doc()["kernel_totals"]
-        for key in ("calendar_rotations", "calendar_rebuilds", "batched_retires"):
-            assert key in totals
-        # ci-quick exercises both the wheel and the batched replay path.
-        assert totals["calendar_rotations"] > 0
+        # ci-quick exercises the batched replay path.
         assert totals["batched_retires"] > 0
         assert totals["events_executed"] > 0
 
