@@ -17,10 +17,6 @@ Subcommands:
 - ``serve`` -- run the multi-tenant elastic-KVS serving scenario (open-loop
   diurnal tenants, admission control with retry-storm defense, a queue-depth
   autoscaler, optional chaos) and print per-tenant availability/SLO curves.
-- ``profile`` -- time the simulation *kernel* on a sweep spec: wall
-  seconds, engine events/sec, accesses/sec, optional cProfile hotspots,
-  and an advisory comparison against the checked-in speed baseline
-  (``benchmarks/BENCH_speed.json``).
 
 For the full evaluation, run ``pytest benchmarks/ --benchmark-only -s``.
 """
@@ -37,7 +33,6 @@ from .api import MindSystem
 from .faults import FaultPlan
 from .runner import SYSTEMS, RunnerConfig, run_system
 from .multirack.cli import add_multirack_parser
-from .perf.cli import add_profile_parser
 from .service.cli import add_serve_parser
 from .sweep.cli import add_sweep_parser
 from .workloads import UniformSharingWorkload
@@ -279,7 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.set_defaults(fn=report)
 
     add_sweep_parser(sub)
-    add_profile_parser(sub)
     add_serve_parser(sub)
     add_multirack_parser(sub)
 

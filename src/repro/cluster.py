@@ -11,7 +11,7 @@ benchmarks -- builds a cluster and goes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from .blades.compute import ComputeBlade
 from .blades.memory import MemoryBlade
@@ -21,9 +21,6 @@ from .obs.tracer import NULL_TRACER, Tracer
 from .sim.engine import Engine
 from .sim.network import Network, NetworkConfig, PAGE_SIZE
 from .sim.stats import StatsCollector
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .faults.message_loss import MessageLossInjector
 
 
 @dataclass
@@ -69,7 +66,6 @@ class MindCluster:
     def __init__(
         self,
         config: Optional[ClusterConfig] = None,
-        fault_injector: Optional["MessageLossInjector"] = None,
         *,
         engine: Optional[Engine] = None,
         stats: Optional[StatsCollector] = None,
@@ -112,7 +108,6 @@ class MindCluster:
             self.network,
             config=self.config.mind,
             stats=self.stats,
-            fault_injector=fault_injector,
         )
         self.memory_blades: List[MemoryBlade] = []
         for i in range(self.config.num_memory_blades):
@@ -241,9 +236,9 @@ class MindCluster:
         Link-loss windows are installed immediately; timed events (blade
         faults, CPU stalls, switch crashes) are scheduled as simulation
         processes.  Returns the armed injector."""
-        from .faults.injector import FaultInjector as PlanInjector
+        from .faults.injector import FaultInjector
 
-        injector = PlanInjector(self, plan)
+        injector = FaultInjector(self, plan)
         injector.start()
         self._injectors.append(injector)
         return injector

@@ -48,7 +48,6 @@ from .vma import align_down
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..blades.memory import MemoryBlade
-    from ..faults.message_loss import MessageLossInjector
 
 #: Multicast group containing every compute blade (invalidation fan-out).
 COMPUTE_BLADE_GROUP = 1
@@ -78,7 +77,6 @@ class CoherenceProtocol:
         protection: ProtectionTable,
         stt: Dict,
         stats: StatsCollector,
-        fault_injector: Optional["MessageLossInjector"] = None,
         invalidation_mode: str = "multicast",
         control_cpu=None,
         pending_table_capacity: int = 256,
@@ -93,7 +91,6 @@ class CoherenceProtocol:
         self.protection = protection
         self.stt = stt
         self.stats = stats
-        self.fault_injector = fault_injector
         if invalidation_mode not in ("multicast", "unicast-cpu"):
             raise ValueError(f"unknown invalidation mode {invalidation_mode!r}")
         #: "multicast" (the paper's P3 design: one data-plane pass, egress

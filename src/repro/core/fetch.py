@@ -77,8 +77,9 @@ class DataPath:
         """Cold path of reliable delivery: retransmit with capped backoff
         after a first failed leg.  :meth:`leg` runs the first transfer
         without a deliver() frame or closure and only falls in here when a
-        fault injector dropped the leg -- the retransmission sequence is
-        exactly :meth:`deliver`'s from the first failure on.
+        link fault window dropped the leg -- the retransmission sequence is
+        exactly :meth:`deliver`'s from the first failure on, and it ends at
+        the latest once the window closes.
         """
         ctx = self.ctx
         attempt = 0
@@ -224,38 +225,13 @@ class DataPath:
     # -- memory-blade fetch ---------------------------------------------------
 
     def fetch(self, req: MemRequest, requester: Port, page_va: int) -> Generator:
-        """One-sided RDMA fetch, retransmitted on loss (Section 4.4: ACKs
-        and timeouts detect packet losses on every message class).
+        """One-sided RDMA fetch from the page's memory blade.
 
-        Plain dispatch, not a generator: with no fault injector installed
-        the per-attempt drop check can never fire, so the retry loop's
-        generator frame is skipped entirely and callers drive
-        :meth:`_fetch_once` directly (``yield from`` and ``process()``
-        both accept the returned generator unchanged).
+        Every leg is a reliable :meth:`leg`: a packet a link fault drops is
+        retransmitted (Section 4.4: ACKs and timeouts detect losses on every
+        message class), so the fetch always lands once the loss window
+        closes.
         """
-        if self.ctx.fault_injector is None:
-            return self._fetch_once(req, requester, page_va)
-        return self._fetch_lossy(req, requester, page_va)
-
-    def _fetch_lossy(self, req: MemRequest, requester: Port, page_va: int) -> Generator:
-        ctx = self.ctx
-        for attempt in range(ctx.MAX_RETRIES + 1):
-            lost = (
-                ctx.fault_injector is not None
-                and ctx.fault_injector.should_drop_fetch()
-            )
-            if not lost:
-                data = yield from self._fetch_once(req, requester, page_va)
-                return data
-            ctx.stats.incr("retransmissions")
-            yield ctx.backoff.timeout_us(attempt)
-        # Persistent loss: serve the final attempt unconditionally (the
-        # reset machinery handles wedged *coherence* state; a fetch has no
-        # state to wedge).
-        data = yield from self._fetch_once(req, requester, page_va)
-        return data
-
-    def _fetch_once(self, req: MemRequest, requester: Port, page_va: int) -> Generator:
         ctx = self.ctx
         engine = ctx.engine
         xlate = ctx.address_space.translate(page_va)

@@ -100,22 +100,11 @@ class InvalidationEngine:
         exponential backoff, reset after MAX_RETRIES (Section 4.4)."""
         ctx = self.ctx
         for attempt in range(ctx.MAX_RETRIES + 1):
-            dropped_out = (
-                ctx.fault_injector is not None
-                and ctx.fault_injector.should_drop_invalidation()
-            )
-            if not dropped_out:
-                ack = yield from self._invalidate_at(inval, port_id, region)
-                dropped_back = (
-                    ctx.fault_injector is not None
-                    and ctx.fault_injector.should_drop_ack()
-                )
-                # ``ack is None``: a link-level fault window ate one of the
-                # legs -- indistinguishable, to the switch, from the
-                # protocol-level drops the injector models.
-                if ack is not None and not dropped_back:
-                    return ack
-            # Lost somewhere: wait out the (growing) timeout, retransmit.
+            ack = yield from self._invalidate_at(inval, port_id, region)
+            if ack is not None:
+                return ack
+            # A link fault window ate the invalidation or its ACK: wait
+            # out the (growing) timeout, retransmit.
             ctx.stats.incr("retransmissions")
             yield ctx.backoff.timeout_us(attempt)
         yield from self.reset_region(region)

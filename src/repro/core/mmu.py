@@ -17,7 +17,7 @@ Resource budgets default to the paper's switch: 30 k directory slots and a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
 from ..sim.engine import Engine
 from ..sim.network import Network
@@ -36,9 +36,6 @@ from .directory import RegionDirectory
 from .migration import MigrationManager
 from .protection import ProtectionTable
 from .stt import build_mesi_stt, build_moesi_stt, build_msi_stt
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..faults.message_loss import MessageLossInjector
 
 
 @dataclass
@@ -99,7 +96,6 @@ class InNetworkMmu:
         network: Network,
         config: Optional[MindConfig] = None,
         stats: Optional[StatsCollector] = None,
-        fault_injector: Optional["MessageLossInjector"] = None,
     ):
         self.engine = engine
         self.network = network
@@ -153,7 +149,6 @@ class InNetworkMmu:
             protection=self.protection,
             stt=stt,
             stats=self.stats,
-            fault_injector=fault_injector,
             invalidation_mode=cfg.invalidation_mode,
             control_cpu=self.control_cpu,
             pending_table_capacity=cfg.pending_table_capacity,

@@ -4,12 +4,10 @@
 - :mod:`repro.faults.injector` -- arms a plan on a running cluster.
 - :mod:`repro.faults.failover` -- the in-simulation switch fail-over
   sequence (detection, rebuild-from-replica, quiesce, re-warm).
-- :mod:`repro.faults.message_loss` -- protocol-level message drops.
 """
 
 from .failover import FailoverConfig, FailoverOrchestrator
 from .injector import FaultInjector
-from .message_loss import MessageLossInjector
 from .plan import (
     BladeOutage,
     BladeSlowdown,
@@ -34,6 +32,5 @@ __all__ = [
     "FaultPlan",
     "FaultPlanError",
     "LinkLossWindow",
-    "MessageLossInjector",
     "SwitchCrash",
 ]

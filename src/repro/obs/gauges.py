@@ -3,9 +3,12 @@
 Fig. 8's occupancy plots are time series of data-plane state: directory
 SRAM slots in use, match-action rule counts, queue depths.  The
 :class:`GaugeSampler` is a simulation process that polls registered gauge
-callables at a fixed simulated-time interval and records each sample both
-as a stats time series (for plotting) and as a trace counter event (so
-``chrome://tracing`` renders occupancy tracks alongside spans).
+callables at a fixed simulated-time interval and records each sample as a
+stats time series (and, with telemetry on, a timeline gauge).  Trace
+exports inject those series as counter tracks
+(``Tracer.chrome_trace(counter_series=stats.timeseries)``), so
+``chrome://tracing`` renders occupancy alongside spans without a second,
+ring-buffered copy of every sample.
 
 The sampler is a perpetual background process, like the Bounded Splitting
 epoch loop: it keeps rescheduling itself, so drive the simulation with
@@ -30,14 +33,12 @@ class GaugeSampler:
         engine: "Engine",
         stats: "StatsCollector",
         interval_us: float = 50.0,
-        trace_cat: str = "gauge",
     ):
         if interval_us <= 0:
             raise ValueError("sample interval must be positive")
         self.engine = engine
         self.stats = stats
         self.interval_us = interval_us
-        self.trace_cat = trace_cat
         self._gauges: List[Tuple[str, Callable[[], float]]] = []
         self._running = False
         self.samples_taken = 0
@@ -49,15 +50,10 @@ class GaugeSampler:
     def sample_once(self) -> None:
         """Poll every gauge now (also used for a final end-of-run sample)."""
         now = self.engine.now
-        tracer = self.engine.tracer
-        emit = tracer.enabled
-        track = tracer.track("gauges") if emit else 0
         timeline = self.stats.timeline
         for name, fn in self._gauges:
             value = float(fn())
             self.stats.record_point(name, now, value)
-            if emit:
-                tracer.counter(now, self.trace_cat, name, value, track=track)
             if timeline is not None:
                 timeline.gauge(now, name, value)
         self.samples_taken += 1

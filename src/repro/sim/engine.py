@@ -268,8 +268,8 @@ class Engine:
         #: nothing else was due at the instant they started (see subtask).
         self.subtasks_fused = 0
         #: cache-hit runs retired in one batch by the vectorized replay
-        #: path (see ComputeBlade.run_thread); counted here so the perf
-        #: harness sees all kernel-side fast paths in one place.
+        #: path (see ComputeBlade.run_thread); counted here so the repo
+        #: benchmark sees all kernel-side fast paths in one place.
         self.batched_retires = 0
         #: recycled Events (Resource.acquire / timeout) awaiting reuse.
         self._event_pool: List[Event] = []
@@ -345,7 +345,7 @@ class Engine:
             self._event_pool.append(ev)
 
     def kernel_stats(self) -> Dict[str, int]:
-        """Scheduler-side counters for the profiling harness.
+        """Scheduler-side counters for the repo benchmark (``benchmarks/perf``).
 
         These describe the *kernel's* work (events dispatched, fast-path
         hits), not the simulated system, and are deliberately kept out of

@@ -153,24 +153,6 @@ class StatsCollector:
     def breakdown(self, category: str) -> Dict[str, float]:
         return dict(self.breakdowns.get(category, {}))
 
-    def merge(self, other: "StatsCollector") -> None:
-        """Fold another collector into this one (e.g. per-thread partials)."""
-        for k, v in other.counters.items():
-            self.counters[k] += v
-        for k, vs in other.latencies.items():
-            self.latencies[k].extend(vs)
-        for k, pts in other.timeseries.items():
-            self.timeseries[k].extend(pts)
-        for cat, comps in other.breakdowns.items():
-            for comp, v in comps.items():
-                self.add_breakdown(cat, comp, v)
-        self.gauges.update(other.gauges)
-        if other.timeline is not None:
-            if self.timeline is None:
-                self.timeline = other.timeline
-            else:
-                self.timeline.merge(other.timeline)
-
 
 @dataclass
 class RunResult:
@@ -192,7 +174,7 @@ class RunResult:
     trace: Optional[object] = field(repr=False, default=None)
     #: scheduler-side counters (events executed, fast-path hits) from
     #: :meth:`repro.sim.engine.Engine.kernel_stats` -- consumed by the
-    #: profiling harness, never folded into sweep metrics.
+    #: repo benchmark (``benchmarks/perf``), never folded into sweep metrics.
     kernel_stats: Dict[str, int] = field(repr=False, compare=False, default_factory=dict)
 
     @property

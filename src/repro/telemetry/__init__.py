@@ -6,7 +6,7 @@ the time axis:
 
 - :class:`~repro.telemetry.histogram.LogHistogram` -- constant-memory
   log-bucketed (HDR-style) latency histograms with deterministic
-  percentile extraction and lossless merging;
+  percentile extraction;
 - :class:`~repro.telemetry.windows.MetricsTimeline` -- tumbling-window
   snapshots of latencies (p50/p99/p99.9/max), counters and gauges, with
   fault-phase attribution joining the ``repro.faults`` markers to
@@ -18,8 +18,8 @@ Everything is pure data keyed by simulated time: recording computes a
 window index from the caller-supplied timestamp, so the timeline needs
 no scheduled events of its own and costs nothing when disabled (the
 kernel contract of the fast-path work: telemetry stays off the hot
-path).  Timelines pickle with the owning ``StatsCollector``, merge
-associatively, and serialize to byte-stable JSON documents, so sweep
+path).  Timelines pickle with the owning ``StatsCollector`` and
+serialize to byte-stable JSON documents, so sweep
 documents carrying windowed series are identical at any ``--jobs``.
 """
 

@@ -10,8 +10,8 @@ decades costs at most ``6 * 90`` integer cells.
 
 Percentiles are extracted by an integer-rank walk over the sorted bucket
 indices, which makes them a pure function of the recorded multiset --
-deterministic across platforms, merge orders and process boundaries
-(the sweep engine's byte-identity contract).  Exact ``min``/``max`` are
+deterministic across platforms and process boundaries (the sweep
+engine's byte-identity contract).  Exact ``min``/``max`` are
 tracked on the side and clamp the bucket representatives, so the extreme
 percentiles (p0, p100) are exact.
 """
@@ -110,22 +110,6 @@ class LogHistogram:
             value = self._bucket_upper(items[pos][0])
             out[i] = min(self.max, max(self.min, value))
         return out
-
-    # -- merging ---------------------------------------------------------
-
-    def merge(self, other: "LogHistogram") -> None:
-        """Fold ``other`` into this histogram (lossless: bucket-exact)."""
-        if other.buckets_per_decade != self.buckets_per_decade:
-            raise ValueError(
-                "cannot merge histograms with different resolutions "
-                f"({self.buckets_per_decade} vs {other.buckets_per_decade})"
-            )
-        for idx, n in other.counts.items():
-            self.counts[idx] = self.counts.get(idx, 0) + n
-        self.count += other.count
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        self.sum += other.sum
 
     # -- serialization ---------------------------------------------------
 

@@ -140,32 +140,6 @@ class MetricsTimeline:
         if t > self._t_end:
             self._t_end = t
 
-    # -- merging (per-thread partial collectors) -------------------------
-
-    def merge(self, other: "MetricsTimeline") -> None:
-        if other.window_us != self.window_us:
-            raise ValueError(
-                "cannot merge timelines with different windows "
-                f"({self.window_us} vs {other.window_us})"
-            )
-        for cat, windows in other._latencies.items():
-            mine = self._latencies.setdefault(cat, {})
-            for w, hist in windows.items():
-                if w in mine:
-                    mine[w].merge(hist)
-                else:
-                    mine[w] = hist
-        for name, windows in other._counters.items():
-            mine_c = self._counters.setdefault(name, {})
-            for w, delta in windows.items():
-                mine_c[w] = mine_c.get(w, 0.0) + delta
-        for name, windows in other._gauges.items():
-            self._gauges.setdefault(name, {}).update(windows)
-        self.marks.extend(other.marks)
-        for t, phase in other.phases:
-            self.set_phase(t, phase)
-        self.finalize(other._t_end)
-
     # -- reading ---------------------------------------------------------
 
     @property

@@ -1,23 +1,11 @@
 """InvalidationEngine unit tests: builders, transport retries, reset, and
 the unicast-cpu ablation's serialization cost."""
 
-from repro.cluster import ClusterConfig, MindCluster
 from repro.core.directory import CoherenceState
-from repro.core.mmu import MindConfig
-from repro.faults import MessageLossInjector
-from repro.sim.rng import make_rng
 
-from conftest import small_cluster
+from conftest import arm_loss, lose_first_attempt, small_cluster
 
 I, S, M = CoherenceState.INVALID, CoherenceState.SHARED, CoherenceState.MODIFIED
-
-
-def lossy_cluster(injector, **mind_kwargs):
-    mind = MindConfig(directory_capacity=256, enable_bounded_splitting=False, **mind_kwargs)
-    return MindCluster(
-        ClusterConfig(num_compute_blades=2, cache_capacity_pages=64, mind=mind),
-        fault_injector=injector,
-    )
 
 
 def setup_proc(cluster, length=1 << 16):
@@ -61,34 +49,39 @@ class TestBuilders:
 
 
 class TestRetryAndReset:
-    def test_dropped_invalidation_retried_to_completion(self):
-        injector = MessageLossInjector(make_rng(2), drop_invalidations=0.5)
-        cluster = lossy_cluster(injector)
+    """Blade 0 shares the page; blade 1's write must invalidate it across
+    a lossy compute0 link."""
+
+    @staticmethod
+    def shared_page():
+        cluster = small_cluster()
         pid, base = setup_proc(cluster)
         touch(cluster, 0, pid, base, write=False)
+        return cluster, pid, base
+
+    def test_dropped_invalidation_retried_to_completion(self):
+        cluster, pid, base = self.shared_page()
+        lose_first_attempt(cluster, "compute0", "from_switch")
         touch(cluster, 1, pid, base, write=True)
-        assert injector.dropped > 0
-        assert cluster.stats.counter("retransmissions") > 0
+        assert cluster.network.port("compute0").from_switch.packets_dropped == 1
+        assert cluster.stats.counter("retransmissions") == 1
         # Despite the loss, the write completed with a coherent directory.
         region = cluster.mmu.directory.find(base)
         assert region.state is M
         assert region.owner == cluster.compute_blades[1].port.port_id
 
     def test_dropped_acks_retried_idempotently(self):
-        injector = MessageLossInjector(make_rng(2), drop_acks=0.5)
-        cluster = lossy_cluster(injector)
-        pid, base = setup_proc(cluster)
-        touch(cluster, 0, pid, base, write=False)
+        cluster, pid, base = self.shared_page()
+        lose_first_attempt(cluster, "compute0", "to_switch")
         touch(cluster, 1, pid, base, write=True)
-        assert cluster.stats.counter("retransmissions") > 0
+        assert cluster.network.port("compute0").to_switch.packets_dropped == 1
+        assert cluster.stats.counter("retransmissions") == 1
         region = cluster.mmu.directory.find(base)
         assert region.state is M
 
     def test_persistent_loss_triggers_reset(self):
-        injector = MessageLossInjector(make_rng(3), drop_invalidations=1.0)
-        cluster = lossy_cluster(injector)
-        pid, base = setup_proc(cluster)
-        touch(cluster, 0, pid, base, write=False)
+        cluster, pid, base = self.shared_page()
+        arm_loss(cluster, "compute0", 0.99, direction="from_switch", duration_us=5_000)
         touch(cluster, 1, pid, base, write=True)
         assert cluster.stats.counter("resets") >= 1
 

@@ -16,7 +16,7 @@ from repro.core.stt import (
 )
 from repro.switchsim.packets import AccessType
 
-from conftest import small_cluster
+from conftest import lose_first_attempt, small_cluster
 
 I, S, M, O = (
     CoherenceState.INVALID,
@@ -165,40 +165,24 @@ class TestProtocolBehaviour:
 
 
 class TestMoesiUnderMessageLoss:
-    """FETCH_FROM_OWNER and LOCAL_UPGRADE with injected protocol drops:
-    the retry must fold idempotently -- exactly one state transition and
-    one cache-to-cache transfer, never a double-apply."""
+    """FETCH_FROM_OWNER and LOCAL_UPGRADE across a lossy link: the retry
+    must fold idempotently -- exactly one state transition and one
+    cache-to-cache transfer, never a double-apply."""
 
     @staticmethod
-    def lossy_moesi(seed, **loss):
-        from repro.cluster import ClusterConfig, MindCluster
-        from repro.core.mmu import MindConfig
-        from repro.faults import MessageLossInjector
-        from repro.sim.rng import make_rng
-
-        mind = MindConfig(
-            directory_capacity=256,
-            enable_bounded_splitting=False,
-            protocol="moesi",
-        )
-        injector = MessageLossInjector(make_rng(seed), **loss)
-        cluster = MindCluster(
-            ClusterConfig(
-                num_compute_blades=3, cache_capacity_pages=256, mind=mind
-            ),
-            fault_injector=injector,
-        )
-        return cluster, injector
+    def dropped(cluster, port, direction):
+        return getattr(cluster.network.port(port), direction).packets_dropped
 
     def test_fetch_from_owner_retries_fold_idempotently(self):
-        cluster, injector = self.lossy_moesi(2, drop_invalidations=0.5)
+        cluster = moesi_cluster()
         pid, base = setup_proc(cluster)
         cluster.run_process(
             cluster.compute_blades[0].store_bytes(pid, base, b"dirty")
         )
+        lose_first_attempt(cluster, "compute0", "from_switch")
         touch(cluster, 1, pid, base, write=False)  # M->O under loss
-        assert injector.dropped > 0
-        assert cluster.stats.counter("retransmissions") > 0
+        assert self.dropped(cluster, "compute0", "from_switch") == 1
+        assert cluster.stats.counter("retransmissions") == 1
         region = cluster.mmu.directory.find(base)
         b0, b1 = cluster.compute_blades[0], cluster.compute_blades[1]
         # Exactly one transition: M->O once, owner keeps the dirty line.
@@ -212,25 +196,26 @@ class TestMoesiUnderMessageLoss:
         assert got == b"dirty"
 
     def test_fetch_from_owner_survives_dropped_acks(self):
-        cluster, injector = self.lossy_moesi(2, drop_acks=0.5)
+        cluster = moesi_cluster()
         pid, base = setup_proc(cluster)
         touch(cluster, 0, pid, base, write=True)
+        lose_first_attempt(cluster, "compute0", "to_switch")
         touch(cluster, 1, pid, base, write=False)
-        assert cluster.stats.counter("retransmissions") > 0
+        assert self.dropped(cluster, "compute0", "to_switch") == 1
+        assert cluster.stats.counter("retransmissions") == 1
         region = cluster.mmu.directory.find(base)
         assert region.state is O
         assert cluster.stats.counter("cache_to_cache_transfers") == 1
 
     def test_local_upgrade_retries_fold_idempotently(self):
-        cluster, injector = self.lossy_moesi(2, drop_invalidations=0.5)
+        cluster = moesi_cluster()
         pid, base = setup_proc(cluster)
         touch(cluster, 0, pid, base, write=True)  # M at b0
         touch(cluster, 1, pid, base, write=False)  # M->O, b1 shares
-        dropped_before = injector.dropped
-        retrans_before = cluster.stats.counter("retransmissions")
+        lose_first_attempt(cluster, "compute1", "from_switch")
         touch(cluster, 0, pid, base, write=True)  # O->M local upgrade
-        assert injector.dropped > dropped_before
-        assert cluster.stats.counter("retransmissions") > retrans_before
+        assert self.dropped(cluster, "compute1", "from_switch") == 1
+        assert cluster.stats.counter("retransmissions") == 1
         region = cluster.mmu.directory.find(base)
         b0, b1 = cluster.compute_blades[0], cluster.compute_blades[1]
         # Exactly one upgrade: owner unchanged, sharer set emptied once.
@@ -243,11 +228,13 @@ class TestMoesiUnderMessageLoss:
         assert b1.cache.peek(base) is None
 
     def test_local_upgrade_no_double_transition_on_dropped_ack(self):
-        cluster, injector = self.lossy_moesi(2, drop_acks=0.5)
+        cluster = moesi_cluster()
         pid, base = setup_proc(cluster)
         touch(cluster, 0, pid, base, write=True)
         touch(cluster, 1, pid, base, write=False)
+        lose_first_attempt(cluster, "compute1", "to_switch")
         touch(cluster, 0, pid, base, write=True)
+        assert self.dropped(cluster, "compute1", "to_switch") == 1
         region = cluster.mmu.directory.find(base)
         assert region.state is M
         assert len(cluster.stats.latencies["fault:O->M"]) == 1

@@ -1,11 +1,14 @@
 """Unit tests for the background gauge sampler."""
 
+from collections import Counter
+
 import pytest
 
 from repro.obs.gauges import GaugeSampler
-from repro.obs.tracer import Tracer
+from repro.runner import RunnerConfig, run_system
 from repro.sim.engine import Engine
 from repro.sim.stats import StatsCollector
+from repro.workloads import UniformSharingWorkload
 
 
 def test_sampler_records_timeseries_at_interval():
@@ -29,16 +32,27 @@ def test_sampler_records_timeseries_at_interval():
     assert points[:4] == [(0.0, 0.0), (10.0, 0.0), (20.0, 1.0), (30.0, 2.0)]
 
 
-def test_sampler_emits_trace_counters_when_enabled():
-    engine = Engine()
-    engine.tracer = Tracer()
-    stats = StatsCollector()
-    sampler = GaugeSampler(engine, stats, interval_us=5.0)
-    sampler.add("depth", lambda: 2)
-    sampler.sample_once()
-    counters = [r for r in engine.tracer.records() if r[2] == "C"]
-    assert counters and counters[0][4] == "depth"
-    assert counters[0][6] == {"value": 2.0}
+def test_report_trace_has_each_gauge_sample_once():
+    """``report --trace-out`` injects ``stats.timeseries`` as counter
+    tracks; the sampler must not also push its samples into the ring."""
+    workload = UniformSharingWorkload(
+        4, accesses_per_thread=300, shared_pages=100, seed=1, burst=4
+    )
+    result = run_system("mind", workload, 2, RunnerConfig(trace=True))
+    series = dict(result.stats.timeseries)
+    doc = result.trace.chrome_trace(counter_series=series)
+    # Link queue-depth counters may legitimately change several times in
+    # one instant; a sampled gauge has one value per sampling tick.
+    keys = Counter(
+        (ev["name"], ev["ts"])
+        for ev in doc["traceEvents"]
+        if ev["ph"] == "C" and ev["name"] in series
+    )
+    assert series and max(keys.values()) == 1
+    assert sum(keys.values()) == sum(len(points) for points in series.values())
+    for name, points in series.items():
+        for ts, _value in points:
+            assert (name, ts) in keys
 
 
 def test_stop_lets_the_queue_drain():

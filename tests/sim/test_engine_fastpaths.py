@@ -7,9 +7,6 @@ tests pin both sides: the optimization actually engages (counters move)
 and the simulated behaviour is exactly the slow path's.
 """
 
-import json
-from pathlib import Path
-
 import pytest
 
 from repro.sim.engine import (
@@ -327,40 +324,36 @@ class TestKernelStats:
 
 
 class TestBenchSpeedDocument:
-    """The checked-in speed baseline must advertise every kernel fast
-    path: a counter that silently vanished from the document is a fast
-    path CI stopped watching."""
+    """The kernel counters a live ci-quick point reports -- the figures
+    the speed benchmark records -- must cover every kernel fast path: a
+    counter that silently vanished is a fast path the benchmark stopped
+    watching."""
 
-    @staticmethod
-    def _doc():
-        path = (
-            Path(__file__).resolve().parents[2]
-            / "benchmarks"
-            / "BENCH_speed.json"
+    @pytest.fixture(scope="class")
+    def kernel_totals(self):
+        from repro.runner import run_system
+        from repro.sweep.presets import preset_grids
+        from repro.sweep.spec import SweepSpec, build_workload_cached
+
+        point = SweepSpec(grids=preset_grids("ci-quick"), seeds=[1]).points()[0]
+        assert point.system == "mind"
+        result = run_system(
+            point.system,
+            build_workload_cached(point),
+            point.num_blades,
+            point.runner_config(),
         )
-        return json.loads(path.read_text())
+        return result.kernel_stats
 
-    def test_kernel_totals_match_engine_counters(self):
-        doc = self._doc()
-        assert doc["schema"] == "repro.profile/v1"
-        # The document's totals and a live engine's kernel_stats() must
-        # name the same counters -- adding a counter without re-blessing
-        # (or re-blessing with a stale kernel) trips here.
-        assert set(doc["kernel_totals"]) == set(Engine().kernel_stats())
+    def test_kernel_totals_match_engine_counters(self, kernel_totals):
+        # The run's totals and a fresh engine's kernel_stats() must name
+        # the same counters.
+        assert set(kernel_totals) == set(Engine().kernel_stats())
 
-    def test_batch_counters_are_live(self):
-        totals = self._doc()["kernel_totals"]
+    def test_batch_counters_are_live(self, kernel_totals):
         # ci-quick exercises the batched replay path.
-        assert totals["batched_retires"] > 0
-        assert totals["events_executed"] > 0
-
-    def test_subsystem_attribution_is_recorded(self):
-        doc = self._doc()
-        assert set(doc["subsystems"]) == {
-            "scheduler", "replay", "protocol", "other",
-        }
-        total = sum(doc["subsystems"].values())
-        assert 0.99 <= total <= 1.01
+        assert kernel_totals["batched_retires"] > 0
+        assert kernel_totals["events_executed"] > 0
 
 
 def test_negative_yield_still_rejected():

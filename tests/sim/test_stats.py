@@ -53,21 +53,6 @@ def test_breakdown_accumulates():
     assert stats.breakdown("inv") == {"tlb": 5.0, "queue": 1.0}
 
 
-def test_merge_combines_everything():
-    a, b = StatsCollector(), StatsCollector()
-    a.incr("c", 1)
-    b.incr("c", 2)
-    a.record_latency("l", 1.0)
-    b.record_latency("l", 3.0)
-    b.record_point("s", 1.0, 1.0)
-    b.add_breakdown("bd", "x", 2.0)
-    a.merge(b)
-    assert a.counter("c") == 3
-    assert a.mean_latency("l") == pytest.approx(2.0)
-    assert a.series("s") == [(1.0, 1.0)]
-    assert a.breakdown("bd") == {"x": 2.0}
-
-
 def _result(runtime_us=1000.0, total=100):
     return RunResult(
         system="MIND",
@@ -116,16 +101,3 @@ def test_breakdowns_and_gauges_pickle():
     clone = pickle.loads(pickle.dumps(stats))
     assert clone.breakdowns == {"fault_path": {"fetch": 5.0}}
     assert clone.gauges == {"utilization:link:up0": 0.25}
-
-
-def test_merge_combines_breakdowns_and_gauges():
-    a = StatsCollector()
-    a.add_breakdown("txn", "x", 1.0)
-    a.set_gauge("g", 1.0)
-    b = StatsCollector()
-    b.add_breakdown("txn", "x", 2.0)
-    b.add_breakdown("txn", "y", 3.0)
-    b.set_gauge("g", 9.0)
-    a.merge(b)
-    assert a.breakdown("txn") == {"x": 3.0, "y": 3.0}
-    assert a.gauges["g"] == 9.0  # gauges are last-writer-wins

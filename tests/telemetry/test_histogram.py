@@ -100,30 +100,6 @@ class TestPercentileAccuracy:
         assert batch == [h.percentile(q) for q in qs]
 
 
-class TestMerge:
-    def test_merge_equals_combined_recording(self):
-        a, b, both = LogHistogram(), LogHistogram(), LogHistogram()
-        for v in (1.0, 5.0, 9.0):
-            a.record(v)
-            both.record(v)
-        for v in (2.0, 100.0):
-            b.record(v)
-            both.record(v)
-        a.merge(b)
-        assert a.count == both.count
-        assert a.min == both.min
-        assert a.max == both.max
-        assert a.counts == both.counts
-        assert a.percentiles((50.0, 99.0)) == both.percentiles((50.0, 99.0))
-
-    def test_merge_resolution_mismatch_rejected(self):
-        a = LogHistogram()
-        b = LogHistogram(buckets_per_decade=10)
-        b.record(1.0)
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-
 class TestSerialization:
     def test_json_roundtrip(self):
         h = LogHistogram()

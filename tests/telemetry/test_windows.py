@@ -103,29 +103,6 @@ class TestPhases:
         assert tl.marks == [(5.0, "crash"), (9.0, "recovered")]
 
 
-class TestMerge:
-    def test_merge_combines_everything(self):
-        a = MetricsTimeline(window_us=100.0)
-        a.record_latency(10.0, "fault", 5.0)
-        a.incr(10.0, "n")
-        b = MetricsTimeline(window_us=100.0)
-        b.record_latency(20.0, "fault", 7.0)
-        b.record_latency(250.0, "openloop:latency", 30.0)
-        b.incr(10.0, "n", 2.0)
-        b.gauge(10.0, "g", 1.0)
-        a.merge(b)
-        snaps = a.snapshots()
-        assert snaps[0].latencies["fault"]["count"] == 2.0
-        assert snaps[0].counters["n"] == 3.0
-        assert snaps[0].gauges["g"] == 1.0
-        assert a.categories() == ["fault", "openloop:latency"]
-        assert a.num_windows == 3
-
-    def test_merge_window_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsTimeline(window_us=100.0).merge(MetricsTimeline(window_us=50.0))
-
-
 class TestSerialization:
     def test_document_shape(self):
         doc = loaded_timeline().to_json()
