@@ -334,16 +334,14 @@ class ComputeBlade:
         stream = AccessStream.coerce(accesses)
         vas = stream.vas
         write_flags = stream.writes
-        pso = consistency is ConsistencyModel.PSO
-        if not pso and not self.engine.tracer.enabled:
-            # Vectorized replay: retire whole cache-hit runs per generator
-            # resumption.  PSO (store-buffer interleavings) and traced runs
-            # (per-access span cadence) keep the per-access loop below.
+        if consistency is not ConsistencyModel.PSO:
             result = yield from self._run_thread_batched(
                 pdid, vas, write_flags, len(vas)
             )
             return result
-        store_buffer = StoreBuffer(store_buffer_capacity) if pso else None
+        # PSO: the per-access loop, so store-buffer interleavings see
+        # every read of a page with a write still in flight.
+        store_buffer = StoreBuffer(store_buffer_capacity)
         dram_access_us = self.config.dram_access_us
         cache_lookup = self.cache.lookup
         local_debt = 0.0
@@ -356,15 +354,14 @@ class ComputeBlade:
                 # Pay for TLB-shootdown IPIs that interrupted this core.
                 local_debt += self.steal_time_us - steal_seen
                 steal_seen = self.steal_time_us
-            if pso:
-                page_va = va - (va % PAGE_SIZE)
-                if not is_write:
-                    pending = store_buffer.pending_for(page_va)
-                    if pending is not None and not pending.triggered:
-                        if local_debt:
-                            yield local_debt
-                            local_debt = 0.0
-                        yield pending
+            page_va = va - (va % PAGE_SIZE)
+            if not is_write:
+                pending = store_buffer.pending_for(page_va)
+                if pending is not None and not pending.triggered:
+                    if local_debt:
+                        yield local_debt
+                        local_debt = 0.0
+                    yield pending
             hit = cache_lookup(va, is_write)
             if hit is not None:
                 local_debt += dram_access_us
@@ -375,32 +372,27 @@ class ComputeBlade:
             if local_debt:
                 yield local_debt
                 local_debt = 0.0
-            if pso and is_write:
+            if is_write:
                 yield from self._issue_async_write(pdid, page_va, store_buffer)
             else:
-                page = yield from self._fault(
-                    pdid, va - (va % PAGE_SIZE), bool(is_write)
-                )
-                if is_write:
-                    page.dirty = True
-        if pso:
-            drain = store_buffer.drain_events()
-            if drain:
-                yield self.engine.all_of(drain)
+                yield from self._fault(pdid, page_va, False)
+        drain = store_buffer.drain_events()
+        if drain:
+            yield self.engine.all_of(drain)
         if local_debt:
             yield local_debt
         return count
 
     def _run_thread_batched(self, pdid: int, vas, write_flags, count) -> Generator:
-        """Batched replay body of :meth:`run_thread` (TSO, untraced).
+        """TSO replay body of :meth:`run_thread`.
 
-        Access-for-access equivalent to the per-access loop: a batch covers
+        Access-for-access equivalent to a per-access loop: a batch covers
         only accesses that provably cannot fault (resident with the needed
         permission), and nothing a batch observes -- cache contents, the
         steal-time account -- can change without this thread yielding, which
         batches never do.  The first miss or permission miss falls out to
         the exact per-access fault path; the debt-flush points (crossing
-        ``LOCAL_TIME_BATCH_US``, and pre-fault) are the per-access loop's.
+        ``LOCAL_TIME_BATCH_US``, and pre-fault) are the PSO loop's.
         """
         engine = self.engine
         consume = self.cache.consume_hit_run

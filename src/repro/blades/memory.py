@@ -2,7 +2,7 @@
 
 MIND memory blades run *no* data-path logic: one-sided RDMA requests are
 served entirely by the NIC, which is why the model only charges NIC/DRAM
-service time (in ``repro.sim.rdma``) and the blade itself is a plain page
+service time (in ``repro.core.fetch``) and the blade itself is a plain page
 store addressed by physical address.  The single CPU-involving step in the
 paper -- registering physical memory with the NIC at boot -- is represented
 by :meth:`register`.

@@ -32,7 +32,6 @@ from ..sim.network import (
     Port,
     pop_deferred_us,
 )
-from ..sim.rdma import BackoffPolicy
 from ..sim.stats import StatsCollector
 from ..switchsim.multicast import MulticastEngine
 from ..switchsim.packets import InvalidationRequest, MemRequest, PacketVerdict
@@ -98,13 +97,6 @@ class CoherenceProtocol:
         #: one invalidation packet per sharer, serially).
         self.invalidation_mode = invalidation_mode
         self.control_cpu = control_cpu
-        #: Section 4.4 retransmission backoff (exponential, capped).
-        self.backoff = BackoffPolicy(
-            base_timeout_us=self.ACK_TIMEOUT_US,
-            multiplier=2.0,
-            max_retries=self.MAX_RETRIES,
-            max_timeout_us=8 * self.ACK_TIMEOUT_US,
-        )
         # The layered engine: admission/pending table, invalidation, data path.
         self.pending = PendingTransactionTable(
             engine, stats, capacity=pending_table_capacity
@@ -131,6 +123,12 @@ class CoherenceProtocol:
         self.stt_mau = pipeline.add_stage("stt")
         self.compute_group = COMPUTE_BLADE_GROUP
         self.multicast.create_group(COMPUTE_BLADE_GROUP, [])
+
+    @classmethod
+    def retry_timeout_us(cls, attempt: int) -> float:
+        """Section 4.4 retransmission wait after the ``attempt``-th failed
+        try: the ACK timeout, doubled per attempt, capped at 8x."""
+        return min(cls.ACK_TIMEOUT_US * 2.0 ** attempt, 8 * cls.ACK_TIMEOUT_US)
 
     # -- layer access -------------------------------------------------------
 
@@ -268,15 +266,7 @@ class CoherenceProtocol:
         spans.mark_wire("request", requester.to_switch)
 
         # Pipeline pass 1: protection check, directory lookup, STT match.
-        engine = self.engine
-        if (
-            not engine._ready
-            and not engine.tracer.enabled
-            and engine._due_head > engine.now
-        ):
-            yield pkt.traverse_us()
-        else:
-            yield from engine.subtask(pkt.traverse())
+        yield from self.engine.subtask(pkt.traverse())
         verdict = pkt.execute(
             self.protection_mau,
             lambda: self.protection.check(req.pdid, req.va, req.access),
@@ -284,9 +274,7 @@ class CoherenceProtocol:
         spans.mark("pipeline")
         if verdict is not PacketVerdict.ALLOW:
             self.stats.incr("protection_rejections")
-            link = requester.from_switch
-            if not (yield from self.engine.subtask(link.transfer(CONTROL_MSG_BYTES))):
-                yield from self.fetch._redeliver(link, CONTROL_MSG_BYTES)
+            yield from self.fetch.leg(requester.from_switch, CONTROL_MSG_BYTES)
             spans.mark_wire("reply", requester.from_switch)
             return FaultResult(
                 verdict, latency_us=self.engine.now - t0, stale=self.epoch != epoch
@@ -303,14 +291,7 @@ class CoherenceProtocol:
             self.stats.incr(f"transition:{transition.label}")
 
             # Recirculate so the directory MAU can apply the update.
-            if (
-                not engine._ready
-                and not engine.tracer.enabled
-                and engine._due_head > engine.now
-            ):
-                yield pkt.recirculate_us()
-            else:
-                yield from engine.subtask(pkt.recirculate())
+            yield from self.engine.subtask(pkt.recirculate())
             old_owner = region.owner
             old_sharers = frozenset(region.sharers)
             pkt.execute(

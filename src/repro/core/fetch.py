@@ -13,7 +13,7 @@ can never observe stale memory behind an in-flight flush.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Dict, Generator, Optional
+from typing import TYPE_CHECKING, Dict, Generator, Optional
 
 from ..sim.engine import Event
 from ..sim.network import CONTROL_MSG_BYTES, PAGE_SIZE, Port
@@ -41,28 +41,13 @@ class DataPath:
 
     # -- reliable delivery --------------------------------------------------
 
-    def deliver(self, make_transfer: Callable[[], Generator]) -> Generator:
-        """Land one transfer leg, retransmitting on an injected link drop
-        with capped exponential backoff.  Data-movement legs use this (a
-        lost payload is simply re-sent); invalidation/ACK legs instead
-        surface the loss so the ACK-timeout machinery drives the retry.
-        Returns the number of retransmissions used.
-        """
-        ctx = self.ctx
-        attempt = 0
-        while True:
-            delivered = yield from ctx.engine.subtask(make_transfer())
-            if delivered:
-                return attempt
-            ctx.stats.incr("retransmissions")
-            ctx.stats.incr("link_retransmissions")
-            yield ctx.backoff.timeout_us(min(attempt, ctx.MAX_RETRIES))
-            attempt += 1
-
     def leg(self, link, size_bytes: int) -> Generator:
         """One reliably delivered wire leg of ``size_bytes`` over ``link``.
 
-        An idle, fault-free link in a quiet instant takes the
+        Data-movement and reset legs use this (a lost message is simply
+        re-sent); invalidation/ACK legs instead surface the loss so the
+        ACK-timeout machinery drives the retry.  An idle, fault-free link
+        in a quiet instant takes the
         :meth:`~repro.sim.network.Link.try_start` fast path (two plain
         delays, no transfer frame); anything else runs the full transfer
         and, if a fault window dropped it, :meth:`_redeliver`.
@@ -74,19 +59,16 @@ class DataPath:
             yield from self._redeliver(link, size_bytes)
 
     def _redeliver(self, link, size_bytes: int) -> Generator:
-        """Cold path of reliable delivery: retransmit with capped backoff
-        after a first failed leg.  :meth:`leg` runs the first transfer
-        without a deliver() frame or closure and only falls in here when a
-        link fault window dropped the leg -- the retransmission sequence is
-        exactly :meth:`deliver`'s from the first failure on, and it ends at
-        the latest once the window closes.
+        """Cold path of :meth:`leg`, entered only when a link fault window
+        dropped the first transfer: retransmit with capped exponential
+        backoff until a copy lands, at the latest once the window closes.
         """
         ctx = self.ctx
         attempt = 0
         while True:
             ctx.stats.incr("retransmissions")
             ctx.stats.incr("link_retransmissions")
-            yield ctx.backoff.timeout_us(min(attempt, ctx.MAX_RETRIES))
+            yield ctx.retry_timeout_us(min(attempt, ctx.MAX_RETRIES))
             attempt += 1
             if (yield from ctx.engine.subtask(link.transfer(size_bytes))):
                 return
@@ -100,7 +82,7 @@ class DataPath:
             if hasattr(blade, "refuse"):
                 blade.refuse()
             ctx.stats.incr("blade_timeouts")
-            yield ctx.backoff.timeout_us(min(attempt, ctx.MAX_RETRIES))
+            yield ctx.retry_timeout_us(min(attempt, ctx.MAX_RETRIES))
             attempt += 1
 
     def blade_service_us(self, blade) -> float:
@@ -233,7 +215,6 @@ class DataPath:
         closes.
         """
         ctx = self.ctx
-        engine = ctx.engine
         xlate = ctx.address_space.translate(page_va)
         blade = ctx._memory_blades[xlate.blade_id]
         ctx.stats.incr("memory_fetches")
@@ -252,14 +233,7 @@ class DataPath:
         yield from self.leg(blade.port.to_switch, PAGE_SIZE)
         # Response pass through the pipeline, then down to the requester.
         resp = ctx.pipeline.packet()
-        if (
-            not engine._ready
-            and not engine.tracer.enabled
-            and engine._due_head > engine.now
-        ):
-            yield resp.traverse_us()
-        else:
-            yield from engine.subtask(resp.traverse())
+        yield from ctx.engine.subtask(resp.traverse())
         yield from self.leg(requester.from_switch, PAGE_SIZE)
         yield ctx.config.rdma_verb_overhead_us
         return data
@@ -315,16 +289,8 @@ class DataPath:
             data = None  # resident, but payload storage is disabled
         ctx.stats.incr("cache_to_cache_transfers")
         yield from self.leg(owner_port.to_switch, PAGE_SIZE)
-        engine = ctx.engine
         resp = ctx.pipeline.packet()
-        if (
-            not engine._ready
-            and not engine.tracer.enabled
-            and engine._due_head > engine.now
-        ):
-            yield resp.traverse_us()
-        else:
-            yield from engine.subtask(resp.traverse())
+        yield from ctx.engine.subtask(resp.traverse())
         yield from self.leg(requester.from_switch, PAGE_SIZE)
         yield ctx.config.rdma_verb_overhead_us
         return data, was_reset
@@ -346,7 +312,6 @@ class DataPath:
         ordering point fetches synchronize on.
         """
         ctx = self.ctx
-        engine = ctx.engine
         xlate = ctx.address_space.translate(page_va)
         blade = ctx._memory_blades[xlate.blade_id]
         self.rdma_virt.rewrite(src_port.port_id, xlate.blade_id)
@@ -354,14 +319,7 @@ class DataPath:
         # leave memory stale behind an Invalid directory -- incoherence.
         yield from self.leg(src_port.to_switch, PAGE_SIZE)
         pkt = ctx.pipeline.packet()
-        if (
-            not engine._ready
-            and not engine.tracer.enabled
-            and engine._due_head > engine.now
-        ):
-            yield pkt.traverse_us()
-        else:
-            yield from engine.subtask(pkt.traverse())
+        yield from ctx.engine.subtask(pkt.traverse())
         yield from self.leg(blade.port.from_switch, PAGE_SIZE)
         if not getattr(blade, "available", True):
             yield from self.blade_ready(blade)

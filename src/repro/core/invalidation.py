@@ -106,7 +106,7 @@ class InvalidationEngine:
             # A link fault window ate the invalidation or its ACK: wait
             # out the (growing) timeout, retransmit.
             ctx.stats.incr("retransmissions")
-            yield ctx.backoff.timeout_us(attempt)
+            yield ctx.retry_timeout_us(attempt)
         yield from self.reset_region(region)
         return None
 
@@ -171,16 +171,12 @@ class InvalidationEngine:
 
             # Reset messages must land (a lost reset would leave a wedged
             # region wedged), so each leg is delivered reliably.
-            def deliver(h=handler, p=port):
-                yield from ctx.fetch.deliver(
-                    lambda: p.from_switch.transfer(CONTROL_MSG_BYTES)
-                )
+            def reset_blade(h=handler, p=port):
+                yield from ctx.fetch.leg(p.from_switch, CONTROL_MSG_BYTES)
                 yield ctx.engine.process(h(reset_inval))
-                yield from ctx.fetch.deliver(
-                    lambda: p.to_switch.transfer(CONTROL_MSG_BYTES)
-                )
+                yield from ctx.fetch.leg(p.to_switch, CONTROL_MSG_BYTES)
 
-            procs.append(ctx.engine.process(deliver()))
+            procs.append(ctx.engine.process(reset_blade()))
         yield ctx.engine.all_of(procs)
         region.state = CoherenceState.INVALID
         region.sharers.clear()

@@ -236,10 +236,6 @@ class Engine:
     scheduled callbacks, which are executed in (time, insertion order).
     """
 
-    #: emit a scheduler-activity trace counter once per this many executed
-    #: events (only when tracing is enabled).
-    TRACE_EVERY = 1024
-
     def __init__(self) -> None:
         self.now: float = 0.0
         #: zero-delay entries, FIFO in insertion order; merged with the
@@ -377,20 +373,16 @@ class Engine:
         engine.subtask(gen)`` is semantically ``yield engine.process(gen)``.
 
         When nothing else is due at the current instant (so the child's
-        start would have been the next event executed) and tracing is
-        off, the child generator itself is returned and the caller's
-        ``yield from`` drives it directly -- no Process allocation, no
-        scheduler round-trips, no completion-event machinery, not even a
-        wrapper frame.  The side-effect order is exactly what dispatching
-        the child's start next would have produced.  Any other time -- or
-        whenever the tracer is on, so per-process spans and names stay
-        stable -- it falls back to a real spawn-and-join process.
+        start would have been the next event executed), the child
+        generator itself is returned and the caller's ``yield from``
+        drives it directly -- no Process allocation, no scheduler
+        round-trips, no completion-event machinery, not even a wrapper
+        frame.  The side-effect order is exactly what dispatching the
+        child's start next would have produced.  Any other time it falls
+        back to a real spawn-and-join process.  The tracer plays no part
+        in the decision: a fused child simply has no ``engine`` span.
         """
-        if (
-            not self._ready
-            and not self.tracer.enabled
-            and self._due_head > self.now
-        ):
+        if not self._ready and self._due_head > self.now:
             self.subtasks_fused += 1
             return gen
         return self._spawn_join(gen)
@@ -412,92 +404,38 @@ class Engine:
 
     # -- execution -----------------------------------------------------
 
-    def _next_entry(self):
-        """Pop the globally next (time, seq) entry from deque + heap."""
-        ready = self._ready
-        if ready:
-            due = self._due_head
-            first = ready[0]
-            if due < first[0] or (due == first[0] and self._due_seq < first[1]):
-                return self._timer_pop()
-            return ready.popleft()
-        if self._due_head != _INF:
-            return self._timer_pop()
-        return None
-
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock reaches ``until``.
 
         Returns the final simulated time.
         """
-        if self.tracer.enabled:
-            return self._run_traced(until)
-        # Untraced loop: no tracer branches on the hot path.
         self._until = until
+        ready = self._ready
+        executed = 0
         try:
-            return self._run_loop(self._ready, 0, until)
-        finally:
-            self._until = None
-
-    def _run_loop(
-        self,
-        ready: deque,
-        executed: int,
-        until: Optional[float],
-    ) -> float:
-        while True:
-            if ready:
-                due = self._due_head
-                first = ready[0]
-                if due < first[0] or (
-                    due == first[0] and self._due_seq < first[1]
-                ):
+            while True:
+                if ready:
+                    due = self._due_head
+                    first = ready[0]
+                    if due < first[0] or (
+                        due == first[0] and self._due_seq < first[1]
+                    ):
+                        entry = self._timer_pop()
+                    else:
+                        entry = ready.popleft()
+                elif self._due_head != _INF:
+                    if until is not None and self._due_head > until:
+                        self.now = until
+                        return until
                     entry = self._timer_pop()
                 else:
-                    entry = ready.popleft()
-            elif self._due_head != _INF:
-                if until is not None and self._due_head > until:
-                    break
-                entry = self._timer_pop()
-            else:
-                self.events_executed += executed
-                return self.now
-            self.now = entry[0]
-            entry[2](*entry[3])
-            executed += 1
-        self.events_executed += executed
-        self.now = until
-        return self.now
-
-    def _run_traced(self, until: Optional[float] = None) -> float:
-        self._until = until
-        try:
-            return self._run_traced_loop(until)
+                    return self.now
+                self.now = entry[0]
+                entry[2](*entry[3])
+                executed += 1
         finally:
+            self.events_executed += executed
             self._until = None
-
-    def _run_traced_loop(self, until: Optional[float]) -> float:
-        tracer = self.tracer
-        while True:
-            if (
-                not self._ready
-                and self._due_head != _INF
-                and until is not None
-                and self._due_head > until
-            ):
-                self.now = until
-                return self.now
-            entry = self._next_entry()
-            if entry is None:
-                return self.now
-            self.now = entry[0]
-            entry[2](*entry[3])
-            self.events_executed += 1
-            if self.events_executed % self.TRACE_EVERY == 0:
-                tracer.counter(
-                    self.now, "engine", "event_queue_depth",
-                    self.pending_timer_count() + len(self._ready),
-                )
 
     def run_until_complete(self, ev: Event) -> Any:
         """Run until ``ev`` fires; returns its value.
@@ -507,8 +445,6 @@ class Engine:
         scheduled.  Raises if the queue drains without the event firing
         (a deadlock).
         """
-        if self.tracer.enabled:
-            return self._run_until_complete_traced(ev)
         ready = self._ready
         executed = 0
         while not ev.triggered:
@@ -529,24 +465,6 @@ class Engine:
             entry[2](*entry[3])
             executed += 1
         self.events_executed += executed
-        if not ev.triggered:
-            raise SimulationError("event never fired: simulation deadlocked")
-        return ev.value
-
-    def _run_until_complete_traced(self, ev: Event) -> Any:
-        tracer = self.tracer
-        while not ev.triggered:
-            entry = self._next_entry()
-            if entry is None:
-                break
-            self.now = entry[0]
-            entry[2](*entry[3])
-            self.events_executed += 1
-            if self.events_executed % self.TRACE_EVERY == 0:
-                tracer.counter(
-                    self.now, "engine", "event_queue_depth",
-                    self.pending_timer_count() + len(self._ready),
-                )
         if not ev.triggered:
             raise SimulationError("event never fired: simulation deadlocked")
         return ev.value

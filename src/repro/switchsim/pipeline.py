@@ -90,31 +90,6 @@ class PacketPass:
         """One full pipeline pass for this packet."""
         return self._pass("pipeline_pass", self._pipeline.config.switch_pipeline_us)
 
-    def traverse_us(self) -> float:
-        """Counter side of :meth:`traverse` without the generator.
-
-        Untraced fast path: a caller that has already established the
-        subtask fuse guard (nothing else due at this instant, tracer off)
-        may bump the pass bookkeeping here and yield the returned latency
-        inline -- exactly what driving the fused :meth:`traverse` generator
-        would have done, minus the generator frame.
-        """
-        self.passes += 1
-        self._ops.clear()
-        self._pipeline.passes += 1
-        return self._pipeline.config.switch_pipeline_us
-
-    def recirculate_us(self) -> float:
-        """Counter side of :meth:`recirculate`; see :meth:`traverse_us`."""
-        self._pipeline.recirculations += 1
-        self.passes += 1
-        self._ops.clear()
-        self._pipeline.passes += 1
-        return (
-            self._pipeline.config.recirculation_us
-            + self._pipeline.config.switch_pipeline_us
-        )
-
     def recirculate(self) -> Generator:
         """Send this packet around for another pass (extra latency)."""
         self._pipeline.recirculations += 1

@@ -149,11 +149,10 @@ class MetricsTimeline:
         return int(self._t_end / self.window_us) + 1
 
     def phase_at(self, t: float) -> Optional[str]:
-        """Service phase active at time ``t`` (None if never tracked)."""
-        if not self.phases:
-            return None
+        """Service phase active at time ``t`` (None before the first
+        transition, or if phases were never tracked)."""
         pos = bisect.bisect_right([pt for pt, _ in self.phases], t) - 1
-        return self.phases[max(0, pos)][1]
+        return self.phases[pos][1] if pos >= 0 else None
 
     def categories(self) -> List[str]:
         return sorted(self._latencies)

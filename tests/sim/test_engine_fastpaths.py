@@ -283,11 +283,11 @@ class TestSubtaskFusion:
         assert order == ["sibling", "child"]
         assert engine.subtasks_fused == 0
 
-    def test_falls_back_when_tracing(self):
-        class _Tracer:
-            enabled = True
+    def test_fuses_when_tracing(self):
+        from repro.obs.tracer import Tracer
 
         engine = Engine()
+        engine.tracer = Tracer(enabled=True)
 
         def child():
             yield 1.0
@@ -296,12 +296,15 @@ class TestSubtaskFusion:
         def parent():
             return (yield from engine.subtask(child()))
 
-        engine.tracer = _Tracer()
-        gen = engine.subtask((x for x in ()))
-        # Not fused: subtask handed back a spawn-join wrapper, not the
-        # child generator itself.
-        assert engine.subtasks_fused == 0
-        gen.close()
+        # The tracer observes; it does not decide.  Nothing else is due,
+        # so the child is fused exactly as in an untraced run -- and,
+        # having no process, it leaves no ``engine`` span.
+        assert engine.run_process(parent(), name="parent") == 42
+        assert engine.now == 1.0
+        assert engine.subtasks_fused == 1
+        assert engine.kernel_stats()["processes_started"] == 1
+        spans = [rec[4] for rec in engine.tracer.records() if rec[3] == "engine"]
+        assert spans == ["parent"]
 
 
 class TestKernelStats:

@@ -1,125 +1,15 @@
-"""Timeout/retry semantics of the reliable RDMA verbs (Section 4.4)."""
+"""Retransmission timeout schedule of the reliable legs (Section 4.4)."""
 
-import pytest
-
-from repro.sim.engine import Engine
-from repro.sim.network import CONTROL_MSG_BYTES, LinkFault, Network
-from repro.sim.rdma import BackoffPolicy, RdmaQp, RdmaTimeoutError
-from repro.sim.rng import make_rng
-
-
-class ScriptedRng:
-    """Deterministic stand-in: returns scripted uniform draws."""
-
-    def __init__(self, draws):
-        self._draws = list(draws)
-
-    def random(self):
-        return self._draws.pop(0) if self._draws else 1.0
-
-
-@pytest.fixture
-def rig():
-    engine = Engine()
-    network = Network(engine)
-    compute = network.attach("compute")
-    return engine, network, compute
+from repro.core.coherence import CoherenceProtocol
 
 
 class TestBackoffPolicy:
     def test_schedule_is_exponential_and_capped(self):
-        policy = BackoffPolicy(
-            base_timeout_us=50.0, multiplier=2.0, max_retries=6,
-            max_timeout_us=400.0,
-        )
-        assert policy.schedule() == [50.0, 100.0, 200.0, 400.0, 400.0, 400.0]
+        schedule = [CoherenceProtocol.retry_timeout_us(k) for k in range(6)]
+        assert schedule == [100.0, 200.0, 400.0, 800.0, 800.0, 800.0]
 
     def test_timeout_grows_per_attempt(self):
-        policy = BackoffPolicy(base_timeout_us=100.0, multiplier=2.0)
-        assert policy.timeout_us(0) == 100.0
-        assert policy.timeout_us(1) == 200.0
-        assert policy.timeout_us(2) == 400.0
-
-    def test_jittered_schedule_is_seed_deterministic(self):
-        policy = BackoffPolicy(jitter_frac=0.25)
-        a = policy.schedule(rng=make_rng(42))
-        b = policy.schedule(rng=make_rng(42))
-        c = policy.schedule(rng=make_rng(43))
-        assert a == b
-        assert a != c
-        # Jitter only ever lengthens the wait (never below the base curve).
-        for jittered, base in zip(a, policy.schedule()):
-            assert base <= jittered <= base * 1.25
-
-    def test_unjittered_schedule_ignores_rng(self):
-        policy = BackoffPolicy()
-        assert policy.schedule(rng=make_rng(1)) == policy.schedule()
-
-
-class TestReliableVerbs:
-    def test_clean_link_takes_one_attempt(self, rig):
-        engine, network, compute = rig
-        qp = RdmaQp(engine, network, compute)
-        retries = engine.run_process(qp.reliable_post())
-        assert retries == 0
-        assert qp.retransmissions == 0
-        assert qp.timeouts == 0
-
-    def test_lossy_link_is_retransmitted(self, rig):
-        engine, network, compute = rig
-        # Drop the first two attempts, deliver the third.
-        compute.to_switch.install_fault(
-            LinkFault(0.0, 1e12, drop_prob=0.5,
-                      rng=ScriptedRng([0.1, 0.1, 0.9]))
-        )
-        policy = BackoffPolicy(base_timeout_us=50.0, max_retries=5)
-        qp = RdmaQp(engine, network, compute, backoff=policy)
-        retries = engine.run_process(qp.reliable_post())
-        assert retries == 2
-        assert qp.retransmissions == 2
-        assert qp.timeouts == 0
-        cfg = network.config
-        # Elapsed covers three serializations + the 50us and 100us waits.
-        per_attempt = cfg.rdma_verb_overhead_us + cfg.serialization_us(
-            CONTROL_MSG_BYTES
-        )
-        expected_min = 3 * per_attempt + 50.0 + 100.0
-        assert engine.now >= expected_min
-
-    def test_exhausted_budget_raises_typed_error(self, rig):
-        engine, network, compute = rig
-        compute.from_switch.install_fault(
-            LinkFault(0.0, 1e12, drop_prob=1.0, rng=ScriptedRng([0.0] * 10))
-        )
-        policy = BackoffPolicy(base_timeout_us=10.0, max_retries=2)
-        qp = RdmaQp(engine, network, compute, backoff=policy)
-        with pytest.raises(RdmaTimeoutError) as exc:
-            engine.run_process(qp.reliable_receive(4096))
-        assert exc.value.verb == "receive"
-        assert exc.value.attempts == 3
-        assert qp.retransmissions == 2
-        assert qp.timeouts == 1
-
-    def test_retry_schedule_is_deterministic_per_seed(self, rig):
-        """Two same-seed runs produce identical completion times."""
-
-        def run_once(seed):
-            engine = Engine()
-            network = Network(engine)
-            compute = network.attach("compute")
-            compute.to_switch.install_fault(
-                LinkFault(0.0, 1e12, drop_prob=0.3, rng=make_rng(seed))
-            )
-            qp = RdmaQp(
-                engine,
-                network,
-                compute,
-                backoff=BackoffPolicy(jitter_frac=0.2),
-                rng=make_rng(seed + 1),
-            )
-            for _ in range(20):
-                engine.run_process(qp.reliable_post())
-            return engine.now, qp.retransmissions
-
-        assert run_once(7) == run_once(7)
-        assert run_once(7) != run_once(8)
+        base = CoherenceProtocol.ACK_TIMEOUT_US
+        assert CoherenceProtocol.retry_timeout_us(0) == base
+        assert CoherenceProtocol.retry_timeout_us(1) == 2 * base
+        assert CoherenceProtocol.retry_timeout_us(2) == 4 * base

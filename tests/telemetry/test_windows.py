@@ -90,6 +90,19 @@ class TestPhases:
         phases = [s.phase for s in self.timeline_with_phases().snapshots()]
         assert phases == ["pre", "pre", "degraded", "degraded", "post", "post"]
 
+    def test_no_phase_before_the_first_transition(self):
+        tl = MetricsTimeline(window_us=100.0)
+        tl.set_phase(150.0, "serve")
+        tl.finalize(300.0)
+        assert tl.phase_at(100.0) is None
+        assert tl.phase_at(150.0) == "serve"
+        snaps = tl.snapshots()
+        # Windows carry their start phase: only those starting at or
+        # after the first transition are labelled.
+        assert [s.phase for s in snaps] == [None, None, "serve", "serve"]
+        assert "phase" not in snaps[0].to_json()
+        assert snaps[2].to_json()["phase"] == "serve"
+
     def test_consecutive_identical_phases_dedup(self):
         tl = MetricsTimeline()
         tl.set_phase(0.0, "pre")
