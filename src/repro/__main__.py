@@ -127,9 +127,7 @@ def report(args: argparse.Namespace) -> int:
     config = RunnerConfig(
         trace=True,
         trace_capacity=args.trace_capacity,
-        sample_interval_us=args.sample_us,
         telemetry=telemetry,
-        telemetry_window_us=args.window_us,
         arrival_process=args.open_loop,
         arrival_rate_per_thread=args.arrival_rate,
         request_size=args.request_size,
@@ -207,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="model the switch allocation policy and charge its control-CPU "
         "cost (default: unmodeled first-fit; mind only)",
     )
-    rep.add_argument("--sample-us", type=float, default=100.0)
     rep.add_argument("--trace-capacity", type=int, default=1 << 18)
     rep.add_argument("--json", action="store_true", help="emit the report as JSON")
     rep.add_argument("--trace-out", help="write a Chrome trace-event JSON file")
@@ -222,10 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     telem.add_argument(
         "--slo", action="store_true",
         help="evaluate the default SLO objectives against the timeline",
-    )
-    telem.add_argument(
-        "--window-us", type=float, default=500.0,
-        help="tumbling-window width in simulated us (default 500)",
     )
     telem.add_argument(
         "--open-loop", choices=("poisson", "diurnal"), default=None,

@@ -165,7 +165,6 @@ class MindSystem:
         trace: bool = False,
         trace_capacity: int = 1 << 16,
         telemetry: bool = False,
-        telemetry_window_us: float = 500.0,
     ):
         config = ClusterConfig(
             num_compute_blades=num_compute_blades,
@@ -174,7 +173,6 @@ class MindSystem:
             trace=trace,
             trace_capacity=trace_capacity,
             telemetry=telemetry,
-            telemetry_window_us=telemetry_window_us,
         )
         if cache_capacity_pages is not None:
             config.cache_capacity_pages = cache_capacity_pages

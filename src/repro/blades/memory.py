@@ -62,10 +62,6 @@ class MemoryBlade:
     def resume(self) -> None:
         self._paused = False
 
-    def service_us(self, base_us: float) -> float:
-        """NIC/DRAM service time under the current slowdown factor."""
-        return base_us * self.slow_factor
-
     def refuse(self) -> None:
         """Account one request lost to an unavailable blade."""
         self.requests_refused += 1

@@ -16,11 +16,13 @@ from typing import List, Optional
 from .blades.compute import ComputeBlade
 from .blades.memory import MemoryBlade
 from .core.mmu import InNetworkMmu, MindConfig
-from .obs.gauges import GaugeSampler
 from .obs.tracer import NULL_TRACER, Tracer
 from .sim.engine import Engine
 from .sim.network import Network, NetworkConfig, PAGE_SIZE
 from .sim.stats import StatsCollector
+
+#: gauge sampling period (simulated us) of traced or telemetry runs.
+GAUGE_INTERVAL_US = 100.0
 
 
 @dataclass
@@ -37,22 +39,17 @@ class ClusterConfig:
     store_data: bool = True
     mind: MindConfig = field(default_factory=MindConfig)
     network: NetworkConfig = field(default_factory=NetworkConfig)
-    #: enable the observability subsystem: event tracing plus background
-    #: gauge sampling.  Off by default -- instrumentation sites then cost a
+    #: enable the observability subsystem: event tracing plus gauge
+    #: sampling.  Off by default -- instrumentation sites then cost a
     #: single ``tracer.enabled`` check.
     trace: bool = False
     #: ring-buffer capacity of the tracer (oldest records drop when full).
     trace_capacity: int = 1 << 16
-    #: gauge sampling period in simulated microseconds (when tracing).
-    sample_interval_us: float = 100.0
     #: enable windowed telemetry (a :class:`repro.telemetry.MetricsTimeline`
     #: on the stats collector): per-window latency percentiles, counters,
-    #: gauges and fault-phase attribution.  Off by default -- when off,
-    #: instrumentation sites pay a single ``timeline is None`` check and
-    #: the simulation schedules nothing extra.
+    #: gauges and fault-phase attribution.  Off by default.  On or off,
+    #: the simulation executes the same events.
     telemetry: bool = False
-    #: tumbling-window width of the telemetry timeline (simulated us).
-    telemetry_window_us: float = 500.0
 
 
 class MindCluster:
@@ -85,9 +82,7 @@ class MindCluster:
             # adds no scheduled events to the run.
             from .telemetry import MetricsTimeline
 
-            self.stats.timeline = MetricsTimeline(
-                window_us=self.config.telemetry_window_us
-            )
+            self.stats.timeline = MetricsTimeline()
         #: the observability sink; installed on the engine so every layer
         #: (network, pipeline, coherence, blades) reaches it the same way.
         # When embedded as a rack node, an earlier rack may already have
@@ -138,40 +133,27 @@ class MindCluster:
         #: inject_faults so fault-free runs pay nothing.
         self._failover = None
         self._injectors: List = []
-        #: built lazily: fault-free untraced runs (the common sweep point)
-        #: never pay for gauge registration.
-        self._sampler: Optional[GaugeSampler] = None
         self.mmu.start()
         if self.config.trace or self.config.telemetry:
-            # Perpetual background process, like the epoch loop: drive the
-            # cluster with run_until_complete-style helpers, not run().
-            # Sampling only reads gauges, so it never perturbs simulated
-            # results -- telemetry-enabled runs report identical metrics.
-            self.sampler.start()
+            # Sampling only reads state and schedules nothing, so the run
+            # executes the same events as an unobserved one.
+            self.engine.observe(GAUGE_INTERVAL_US, self.sample_gauges)
 
-    @property
-    def sampler(self) -> GaugeSampler:
-        if self._sampler is None:
-            self._sampler = self._build_sampler()
-        return self._sampler
-
-    def _build_sampler(self) -> GaugeSampler:
-        """Register the switch-resource and queue-depth gauges Fig. 8 needs."""
-        sampler = GaugeSampler(
-            self.engine, self.stats, interval_us=self.config.sample_interval_us
-        )
-        sampler.add("directory_sram.used", lambda: self.mmu.directory_sram.used)
-        sampler.add("tcam.translation", lambda: len(self.mmu.translation_tcam))
-        sampler.add("tcam.protection", lambda: len(self.mmu.protection_tcam))
-        sampler.add("pipeline.recirculations", lambda: self.mmu.pipeline.recirculations)
-        sampler.add("pending_txns", lambda: self.mmu.coherence.pending.occupancy)
+    def sample_gauges(self, t: float) -> None:
+        """Record the switch-resource and queue-depth gauges Fig. 8 needs."""
+        mmu = self.mmu
+        record = self.stats.record_point
+        record("directory_sram.used", t, float(mmu.directory_sram.used))
+        record("tcam.translation", t, float(len(mmu.translation_tcam)))
+        record("tcam.protection", t, float(len(mmu.protection_tcam)))
+        record("pipeline.recirculations", t, float(mmu.pipeline.recirculations))
+        record("pending_txns", t, float(mmu.coherence.pending.occupancy))
         for blade in self.compute_blades:
-            lock = blade.kernel_lock
-            sampler.add(
+            record(
                 f"blade{blade.blade_id}.kernel_queue",
-                lambda l=lock: l.queue_length,
+                t,
+                float(blade.kernel_lock.queue_length),
             )
-        return sampler
 
     @property
     def controller(self):
@@ -179,12 +161,6 @@ class MindCluster:
 
     def compute_blade(self, blade_id: int) -> ComputeBlade:
         return self.compute_blades[blade_id]
-
-    def blade_for_port(self, port_id: int) -> Optional[ComputeBlade]:
-        for blade in self.compute_blades:
-            if blade.port.port_id == port_id:
-                return blade
-        return None
 
     def _drop_cached_range(self, base: int, length: int) -> None:
         """munmap support: drop (without write-back) every cached page of a
@@ -292,7 +268,7 @@ class MindCluster:
             if utilization:
                 stats.set_gauge(f"utilization:{resource.name}", utilization)
         if self.config.trace or self.config.telemetry:
-            self.sampler.sample_once()
+            self.sample_gauges(self.engine.now)
         timeline = stats.timeline
         if timeline is not None:
             timeline.finalize(self.engine.now)

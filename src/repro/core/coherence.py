@@ -206,9 +206,7 @@ class CoherenceProtocol:
 
     def set_phase(self, phase: str) -> None:
         self.phase = phase
-        timeline = self.stats.timeline
-        if timeline is not None:
-            timeline.set_phase(self.engine.now, phase)
+        self.stats.set_phase(self.engine.now, phase)
 
     def adopt_plane(
         self,
@@ -309,14 +307,11 @@ class CoherenceProtocol:
 
             latency = self.engine.now - t0
             self.stats.record_latency(f"fault:{transition.label}", latency)
-            self.stats.record_latency("fault", latency)
+            self.stats.record_latency("fault", latency, t=self.engine.now)
             if self.phase_tracking:
                 # Attribute to the current service phase so the availability
                 # report can compare pre/degraded/post tails.
                 self.stats.record_latency(f"fault:phase:{self.phase}", latency)
-            timeline = self.stats.timeline
-            if timeline is not None:
-                timeline.record_latency(self.engine.now, "fault", latency)
             if tracer.enabled:
                 tracer.complete(
                     t0, latency, "coherence", f"fault:{transition.label}", track=lane

@@ -302,9 +302,3 @@ class SwitchController:
         for region in list(self.directory.regions()):
             if region.base < base + length and base < region.end:
                 self.directory.release(region)
-
-    def all_vmas(self) -> List[tuple]:
-        out = []
-        for task in self._tasks.values():
-            out.extend(task.vmas.values())
-        return out

@@ -25,7 +25,7 @@ The flow for one region:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, List
 
 from ..sim.engine import Engine
 from ..sim.network import CONTROL_MSG_BYTES, PAGE_SIZE
@@ -152,10 +152,6 @@ class MigrationManager:
             return
         self.address_space.remove_outlier(record.va_base, record.length)
         self.allocator.blade(record.dst_blade).free(record.dst_shadow_va)
-
-    def migrated_blade_for(self, va_base: int) -> Optional[int]:
-        record = self.records.get(va_base)
-        return record.dst_blade if record else None
 
     def _quiesce(self, va_base: int, length: int) -> Generator:
         """Invalidate + flush the range everywhere; reset directory state."""

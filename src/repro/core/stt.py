@@ -99,12 +99,6 @@ def build_msi_stt() -> Dict[SttKey, Transition]:
     }
 
 
-class ExclusiveState:
-    """Marker: MESI's E state is folded into the directory's M slot with a
-    ``clean`` flag, matching how a real STT would encode it in metadata bits.
-    """
-
-
 def build_mesi_stt() -> Dict[SttKey, Transition]:
     """MESI variant (Section 8 extension).
 

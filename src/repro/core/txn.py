@@ -171,9 +171,6 @@ class PendingTransactionTable:
         """Data-path transactions currently holding a table slot."""
         return self._slots.in_use
 
-    def entry_count(self) -> int:
-        return len(self._entries)
-
     def inflight(self, key: int) -> int:
         """Number of transactions admitted on ``key`` right now."""
         entry = self._entries.get(key)

@@ -96,9 +96,7 @@ class FailoverOrchestrator:
         coherence.begin_outage()
         if tracer.enabled:
             tracer.instant(t_crash, "fault", "switch_crash", track=tracer.track("faults"))
-        timeline = stats.timeline
-        if timeline is not None:
-            timeline.mark(t_crash, "switch_crash")
+        stats.mark(t_crash, "switch_crash")
 
         # Detection: heartbeats miss, the backup decides to take over.
         yield self.config.detection_us
@@ -159,8 +157,7 @@ class FailoverOrchestrator:
             tracer.complete(
                 t_crash, outage, "fault", "failover", track=tracer.track("faults")
             )
-        if timeline is not None:
-            timeline.mark(t_up, "failover_complete")
+        stats.mark(t_up, "failover_complete")
         # Faults stay attributed to "degraded" while the directory re-warms.
         engine.process(self._phase_flip(), name="failover-phase-flip")
 

@@ -98,11 +98,9 @@ class FaultInjector:
             tracer.instant(
                 self.engine.now, "fault", label, track=tracer.track("faults")
             )
-        timeline = self.cluster.stats.timeline
-        if timeline is not None:
-            # The same markers annotate the windowed timeline, so reports
-            # can join injector events to the windows they landed in.
-            timeline.mark(self.engine.now, label)
+        # The same markers annotate the windowed timeline, so reports
+        # can join injector events to the windows they landed in.
+        self.cluster.stats.mark(self.engine.now, label)
 
     def _run_blade_slow(self, ev: BladeSlowdown) -> Generator:
         blade = self.cluster.memory_blades[ev.blade_id]

@@ -50,7 +50,6 @@ class MultiRackConfig:
     oversubscription: float = 4.0
     #: enable windowed telemetry on the fabric's shared stats collector.
     telemetry: bool = False
-    telemetry_window_us: float = 500.0
     mind: MindConfig = field(default_factory=lambda: MindConfig(
         memory_blade_capacity=1 << 28, enable_bounded_splitting=False
     ))

@@ -33,10 +33,10 @@ from ..blades.memory import MemoryBlade
 from ..core.coherence import CoherenceProtocol
 from ..core.mmu import InNetworkMmu
 from ..core.vma import PermissionClass
-from ..sim.network import Network, Port
+from ..sim.network import Port
 from ..switchsim.packets import MemRequest
 from .config import MultiRackConfig
-from .topology import RackNode, SpineProxyPort, Topology
+from .topology import SpineProxyPort, Topology
 
 AnyPort = Union[Port, SpineProxyPort]
 
@@ -131,9 +131,7 @@ class MultiRackFabric:
         if cfg.telemetry and self.stats.timeline is None:
             from ..telemetry import MetricsTimeline
 
-            self.stats.timeline = MetricsTimeline(
-                window_us=cfg.telemetry_window_us
-            )
+            self.stats.timeline = MetricsTimeline()
         self.memory_blades: List[MemoryBlade] = [
             blade
             for node in self.topology.racks
@@ -178,15 +176,8 @@ class MultiRackFabric:
         return [node.mmu for node in self.topology.racks]
 
     @property
-    def networks(self) -> List[Network]:
-        return [node.network for node in self.topology.racks]
-
-    @property
     def clusters(self) -> List:
         return [node.cluster for node in self.topology.racks]
-
-    def rack_node(self, rack: int) -> RackNode:
-        return self.topology.racks[rack]
 
     def rack_coherence(self, rack: int) -> CoherenceProtocol:
         return self.topology.racks[rack].coherence

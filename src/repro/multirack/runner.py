@@ -56,7 +56,6 @@ class MultiRackScenarioConfig:
     diurnal_period_us: float = 20_000.0
     diurnal_amplitude: float = 0.5
     telemetry: bool = False
-    telemetry_window_us: float = 500.0
     #: allocation-policy axis for every rack switch (None = unmodeled
     #: first-fit, the bit-identical default).
     allocator: Optional[str] = None
@@ -70,7 +69,6 @@ class MultiRackScenarioConfig:
             spine_extra_us=self.spine_extra_us,
             oversubscription=self.oversubscription,
             telemetry=self.telemetry,
-            telemetry_window_us=self.telemetry_window_us,
             mind=MindConfig(
                 memory_blade_capacity=1 << 28,
                 enable_bounded_splitting=False,

@@ -42,9 +42,6 @@ class ShardMap:
             raise ValueError(f"va {va:#x} outside every rack's partition")
         return rack
 
-    def rack_base(self, rack: int) -> int:
-        return rack * self.rack_span
-
     def rack_range(self, rack: int) -> Tuple[int, int]:
         """The ``(base, length)`` VA slice ``rack`` is home for."""
         return rack * self.rack_span, self.rack_span

@@ -1,28 +1,26 @@
 """repro.obs: observability for simulation runs.
 
-Four pieces, threaded through the whole stack:
+Three pieces, threaded through the whole stack:
 
 - :class:`Tracer` -- ring-buffered structured event records (spans,
   instants, counters) exportable as JSONL or Chrome trace-event JSON.
 - :class:`SpanCursor` -- partitions a transaction's wall time into named
   components, feeding both the tracer and the stats breakdowns (the
   Fig. 7-style latency decompositions).
-- :class:`GaugeSampler` -- a background simulation process sampling
-  switch-resource occupancy and queue depths into time series.
 - :class:`RunReport` -- a per-run digest (latency percentiles, breakdown
   consistency, queueing hotspots, switch peaks), also available via
   ``RunResult.report()`` and ``python -m repro report``.
 
 Everything is deterministic (timestamps come from ``engine.now``) and
 zero-cost when disabled (a single ``tracer.enabled`` check per site).
+Switch-resource gauges are sampled by an engine observer
+(``MindCluster.sample_gauges``), which schedules nothing.
 """
 
-from .gauges import GaugeSampler
 from .spans import SpanCursor
 from .tracer import NULL_TRACER, Tracer
 
 __all__ = [
-    "GaugeSampler",
     "NULL_TRACER",
     "RunReport",
     "SpanCursor",

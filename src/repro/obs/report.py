@@ -431,22 +431,7 @@ class RunReport:
         """The SLO burn-rate section (empty without telemetry)."""
         if not self.slo or not self.slo.get("objectives"):
             return []
-        lines: List[str] = [""]
+        from ..telemetry.slo import render_objectives
+
         verdict = "met" if self.slo.get("met") else "MISSED"
-        lines.append(f"slo objectives ({verdict}):")
-        for obj in self.slo["objectives"]:
-            status = "met" if obj["met"] else "MISSED"
-            lines.append(
-                f"  {obj['name']:<16s} {status:<7s}"
-                f"compliance {obj['compliance']:7.2%}  "
-                f"burn {obj['burn_rate']:6.2f}x  "
-                f"({obj['windows_violating']}/{obj['windows_evaluated']} "
-                f"windows over {obj['threshold_us']:g} us)"
-            )
-            by_phase = obj.get("violations_by_phase")
-            if by_phase:
-                phase_bits = ", ".join(
-                    f"{p}={n}" for p, n in sorted(by_phase.items())
-                )
-                lines.append(f"    violations by phase: {phase_bits}")
-        return lines
+        return ["", f"slo objectives ({verdict}):", *render_objectives(self.slo)]

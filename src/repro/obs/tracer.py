@@ -149,7 +149,7 @@ class Tracer:
         trace-event format expects.
 
         ``counter_series`` injects externally recorded scalar series
-        (e.g. the :class:`~repro.obs.gauges.GaugeSampler` time series from
+        (e.g. the gauge series ``MindCluster.sample_gauges`` records in
         ``stats.timeseries``) as counter tracks.  Unlike ring-buffered
         counter records, injected series are complete: they never lose
         early samples to ring eviction under heavy span traffic.

@@ -64,14 +64,10 @@ class RunnerConfig:
     trace: bool = False
     #: tracer ring-buffer capacity when tracing is enabled.
     trace_capacity: int = 1 << 16
-    #: gauge sampling period (simulated us) when tracing is enabled.
-    sample_interval_us: float = 100.0
     #: enable windowed telemetry: per-window latency percentiles (p50/p99/
     #: p99.9/max), counter deltas, gauge samples and fault-phase
     #: attribution, surfaced as the report's ``timeline``/``slo`` sections.
     telemetry: bool = False
-    #: tumbling-window width of the telemetry timeline (simulated us).
-    telemetry_window_us: float = 500.0
     #: open-loop arrival process ("poisson" or "diurnal"); None replays
     #: the trace closed-loop as the scaling figures do.  MIND systems
     #: only: latency-under-load is measured against the switch data path.
@@ -132,9 +128,7 @@ def run_on_mind(
         network=cfg.network or NetworkConfig(),
         trace=cfg.trace,
         trace_capacity=cfg.trace_capacity,
-        sample_interval_us=cfg.sample_interval_us,
         telemetry=cfg.telemetry,
-        telemetry_window_us=cfg.telemetry_window_us,
     )
     cluster = MindCluster(cluster_config)
     controller = cluster.controller

@@ -55,7 +55,6 @@ class Autoscaler:
     process: Any  # MindProcess -- spawn_thread() places new slots
     stats: Any
     config: AutoscalerConfig = field(default_factory=AutoscalerConfig)
-    timeline: Any = None
 
     def __post_init__(self):
         self.config.validate()
@@ -104,8 +103,7 @@ class Autoscaler:
         t = self.engine.now
         self.events.append((t, "up", thread.blade_id))
         self.stats.incr("svc:scale_ups")
-        if self.timeline is not None:
-            self.timeline.mark(t, f"scale_up:blade{thread.blade_id}")
+        self.stats.mark(t, f"scale_up:blade{thread.blade_id}")
 
     def _retire(self) -> None:
         if not self.pool.retire_slot():
@@ -113,5 +111,4 @@ class Autoscaler:
         t = self.engine.now
         self.events.append((t, "down", None))
         self.stats.incr("svc:scale_downs")
-        if self.timeline is not None:
-            self.timeline.mark(t, "scale_down")
+        self.stats.mark(t, "scale_down")

@@ -66,7 +66,6 @@ class ServingPool:
         self.stats = stats
         self.cpu_us = cpu_us
         self.execute = execute
-        self.timeline: Any = None  # optional MetricsTimeline, set by the scenario
         self._queue: Deque[Request] = deque()
         self._slots: List[_Slot] = []
         self._idle: Deque[_Slot] = deque()
@@ -126,11 +125,9 @@ class ServingPool:
                 continue
             req = self._queue.popleft()
             req.queue_wait_us = self.engine.now - req.enqueued_us
-            self.stats.record_latency("svc:queue", req.queue_wait_us)
-            if self.timeline is not None:
-                self.timeline.record_latency(
-                    self.engine.now, "svc:queue", req.queue_wait_us
-                )
+            self.stats.record_latency(
+                "svc:queue", req.queue_wait_us, t=self.engine.now
+            )
             yield self.cpu_us
             yield from self.execute(slot.thread, req)
             req.done.succeed()

@@ -6,6 +6,7 @@ import json
 from dataclasses import asdict
 from typing import Any, Dict, List
 
+from ..telemetry.slo import render_objectives
 from .scenario import ServiceResult
 
 
@@ -61,7 +62,7 @@ def render_service_report(sr: ServiceResult) -> List[str]:
             f"{t.slo_compliance:8.1%}{t.unavailability_us / 1e3:11.2f}"
         )
     lines.append("slo report:")
-    lines.extend(f"  {ln}" for ln in sr.slo.render())
+    lines.extend(f"  {ln}" for ln in render_objectives(sr.slo.to_json()))
     return lines
 
 

@@ -31,7 +31,7 @@ from ..api import MindSystem
 from ..faults import FaultPlan
 from ..sim.stats import RunResult
 from ..telemetry import SloObjective, SloReport, evaluate_slos
-from ..workloads.elastic_kvs import KvsOp, KvsTenant, make_ops
+from ..workloads.elastic_kvs import KvsTenant, make_ops
 from ..workloads.openloop import ArrivalSpec, arrival_times
 from ..workloads.trace import stable_seed
 from .admission import ADMIT, REJECT_DEGRADED, ServiceAdmission
@@ -51,7 +51,6 @@ class ServiceConfig:
     num_compute_blades: int = 4
     num_memory_blades: int = 2
     cache_capacity_pages: int = 2_048
-    telemetry_window_us: float = 500.0
 
     # -- identity ---------------------------------------------------------
     name: str = "kvs-service"
@@ -229,11 +228,9 @@ def run_service(config: ServiceConfig) -> ServiceResult:
         cache_capacity_pages=cfg.cache_capacity_pages,
         store_data=True,
         telemetry=True,
-        telemetry_window_us=cfg.telemetry_window_us,
     )
     engine = system.cluster.engine
     stats = system.stats
-    timeline = stats.timeline
 
     process = system.spawn_process(cfg.name)
     tenants = [
@@ -251,8 +248,8 @@ def run_service(config: ServiceConfig) -> ServiceResult:
     loader = process.spawn_thread()
     system.run_concurrently([t.preload_gen(loader) for t in tenants])
     t0 = system.now_us
-    timeline.set_phase(t0, "serve")
-    timeline.mark(t0, "serving_start")
+    stats.set_phase(t0, "serve")
+    stats.mark(t0, "serving_start")
 
     plan = cfg.chaos_plan(t0)
     chaos_description: List[str] = []
@@ -265,7 +262,6 @@ def run_service(config: ServiceConfig) -> ServiceResult:
         yield from tenants[req.tenant].serve_gen(thread, req.op)
 
     pool = ServingPool(engine, stats, cfg.request_cpu_us, execute)
-    pool.timeline = timeline
     for _ in range(cfg.initial_slots):
         pool.add_slot(process.spawn_thread())
 
@@ -301,13 +297,10 @@ def run_service(config: ServiceConfig) -> ServiceResult:
             cooldown_intervals=cfg.autoscale_cooldown,
             slot_bringup_us=cfg.slot_bringup_us,
         ),
-        timeline=timeline,
     )
     engine.process(autoscaler.run(), name="svc.autoscaler")
 
     # -- clients ----------------------------------------------------------
-    summaries = [TenantSummary(tenant=i) for i in range(cfg.tenants)]
-
     def request_lifecycle(req: Request) -> Generator:
         """Admission -> serve -> complete, retrying rejections."""
         i = req.tenant
@@ -321,30 +314,21 @@ def run_service(config: ServiceConfig) -> ServiceResult:
                 pool.submit(req)
                 yield req.done
                 admission.note_done(i)
-                latency = engine.now - req.arrival_us
-                summaries[i].completions += 1
-                stats.incr(f"svc:t{i}:completions")
-                stats.record_latency(f"svc:t{i}:latency", latency)
-                stats.record_latency("svc:latency", latency)
-                timeline.record_latency(engine.now, f"svc:t{i}:latency", latency)
-                timeline.record_latency(engine.now, "svc:latency", latency)
-                timeline.incr(engine.now, f"svc:t{i}:completions")
+                now = engine.now
+                latency = now - req.arrival_us
+                stats.incr(f"svc:t{i}:completions", t=now)
+                stats.record_latency(f"svc:t{i}:latency", latency, t=now)
+                stats.record_latency("svc:latency", latency, t=now)
                 return
             # Rejected: shed outright (degraded / out of retries) or back off.
-            summaries[i].shed += 1
-            stats.incr(f"svc:t{i}:shed")
+            stats.incr(f"svc:t{i}:shed", t=engine.now)
             stats.incr(f"svc:shed:{verdict}")
-            timeline.incr(engine.now, f"svc:t{i}:shed")
             if verdict == REJECT_DEGRADED or req.attempts >= retry.max_retries:
-                summaries[i].failed += 1
-                stats.incr(f"svc:t{i}:failed")
-                timeline.incr(engine.now, f"svc:t{i}:failed")
+                stats.incr(f"svc:t{i}:failed", t=engine.now)
                 return
             req.attempts += 1
             admission.note_retry(engine.now)
-            summaries[i].retries += 1
-            stats.incr(f"svc:t{i}:retries")
-            timeline.incr(engine.now, f"svc:t{i}:retries")
+            stats.incr(f"svc:t{i}:retries", t=engine.now)
             yield retry.backoff_us(
                 cfg.seed, req.tenant, req.client, req.index, req.attempts
             )
@@ -381,9 +365,7 @@ def run_service(config: ServiceConfig) -> ServiceResult:
                 yield at - engine.now
             req = Request(tenant, client_id, r, op)
             req.arrival_us = engine.now
-            summaries[tenant].arrivals += 1
-            stats.incr(f"svc:t{tenant}:arrivals")
-            timeline.incr(engine.now, f"svc:t{tenant}:arrivals")
+            stats.incr(f"svc:t{tenant}:arrivals", t=engine.now)
             lifecycles.append(
                 engine.process(
                     request_lifecycle(req), name=f"svc.req.t{tenant}c{client_id}r{r}"
@@ -406,9 +388,19 @@ def run_service(config: ServiceConfig) -> ServiceResult:
     pool.drain_idle()
     system.capture_telemetry()
 
-    objectives = service_objectives(cfg)
-    slo = evaluate_slos(timeline, objectives)
+    timeline = stats.timeline
+    slo = evaluate_slos(timeline, service_objectives(cfg))
     by_name = {r.objective.name: r for r in slo.results}
+    summaries = [
+        TenantSummary(
+            tenant=i,
+            **{
+                kind: stats.counter(f"svc:t{i}:{kind}")
+                for kind in ("arrivals", "completions", "retries", "shed", "failed")
+            },
+        )
+        for i in range(cfg.tenants)
+    ]
     for i, summary in enumerate(summaries):
         cat = f"svc:t{i}:latency"
         if cat in stats.latencies and stats.latencies[cat]:

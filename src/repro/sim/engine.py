@@ -39,6 +39,10 @@ model" for the argument):
   recycled through a bounded freelist.  Pooled events are single-consumer
   by contract: exactly one process yields them, and their ``.value`` must
   be read through the ``yield`` expression, not off the event afterwards.
+
+Observation (:meth:`Engine.observe`) schedules nothing: the observer runs
+from the clock-advance points themselves, so an observed run dispatches
+exactly the events of an unobserved one.
 """
 
 from __future__ import annotations
@@ -218,6 +222,8 @@ class Process(Event):
                     # path's.
                     inline_budget -= 1
                     engine.inline_clock_advances += 1
+                    if wake >= engine._observe_next:
+                        engine._observe_through(wake)
                     engine.now = wake
                     value = None
                     continue
@@ -271,6 +277,12 @@ class Engine:
         self._event_pool: List[Event] = []
         #: the observability sink; NULL_TRACER unless a cluster installs one.
         self.tracer = NULL_TRACER
+        #: the read-only observer and its period (see :meth:`observe`).
+        self._observer: Optional[Callable[[float], None]] = None
+        self._observe_interval = 0.0
+        #: the next instant owed to the observer (+inf when none) -- like
+        #: ``_due_head``, one float compare wherever the clock advances.
+        self._observe_next: float = _INF
         #: named resources register here so run reports can rank queueing
         #: hotspots; anonymous resources (e.g. transient region locks) do
         #: not, keeping the registry bounded and deterministic.
@@ -315,7 +327,38 @@ class Engine:
         else:
             self._due_head = _INF
             self._due_seq = 0
+        if entry[0] >= self._observe_next:
+            self._observe_through(entry[0])
         return entry
+
+    def observe(self, interval: float, fn: Callable[[float], None]) -> None:
+        """Call ``fn(t)`` once for each t = t0, t0 + interval, ... where
+        t0 is the clock now.
+
+        ``fn(t)`` runs when the clock is about to reach ``t``, before any
+        event at ``t``; the t0 call comes when a run loop next starts.
+        It may only read state: nothing is scheduled for it, so fusion,
+        inline clock advances and batched replay fire exactly as in an
+        unobserved run, and ``run()`` still drains.  One observer per
+        engine.
+        """
+        if interval <= 0:
+            raise ValueError("observation interval must be positive")
+        if self._observer is not None:
+            raise SimulationError("engine already has an observer")
+        self._observer = fn
+        self._observe_interval = interval
+        self._observe_next = self.now
+
+    def _observe_through(self, t: float) -> None:
+        """Run the observer for every owed instant ``<= t``."""
+        fn = self._observer
+        interval = self._observe_interval
+        nxt = self._observe_next
+        while nxt <= t:
+            fn(nxt)
+            nxt = nxt + interval
+        self._observe_next = nxt
 
     def pending_timer_count(self) -> int:
         """Future-time entries currently parked in the timer heap."""
@@ -407,11 +450,14 @@ class Engine:
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock reaches ``until``.
 
-        Returns the final simulated time.
+        Returns the final simulated time.  Stopping at ``until`` observes
+        every instant up to it first (see :meth:`observe`).
         """
         self._until = until
         ready = self._ready
         executed = 0
+        if self._observe_next <= self.now:
+            self._observe_through(self.now)
         try:
             while True:
                 if ready:
@@ -425,6 +471,8 @@ class Engine:
                         entry = ready.popleft()
                 elif self._due_head != _INF:
                     if until is not None and self._due_head > until:
+                        if until >= self._observe_next:
+                            self._observe_through(until)
                         self.now = until
                         return until
                     entry = self._timer_pop()
@@ -447,6 +495,8 @@ class Engine:
         """
         ready = self._ready
         executed = 0
+        if self._observe_next <= self.now:
+            self._observe_through(self.now)
         while not ev.triggered:
             if ready:
                 due = self._due_head
@@ -608,12 +658,16 @@ class Resource:
             self.grants += 1
             if self.name is not None and self.engine.tracer.enabled:
                 tracer = self.engine.tracer
+                track = tracer.track("resources")
                 tracer.complete(
-                    arrived,
-                    wait,
+                    arrived, wait, "resource", f"{self.name}.wait", track=track
+                )
+                tracer.counter(
+                    self.engine.now,
                     "resource",
-                    f"{self.name}.wait",
-                    track=tracer.track("resources"),
+                    f"{self.name}.queue",
+                    len(self._waiters),
+                    track=track,
                 )
             ev.succeed(wait)
         else:

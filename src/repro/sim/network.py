@@ -399,14 +399,6 @@ class Network:
     def port(self, name: str) -> Port:
         return self.ports[name]
 
-    # -- data-path composition helpers ---------------------------------
-
-    def host_to_switch(self, port: Port, size_bytes: int) -> Generator:
-        yield from self.engine.subtask(port.to_switch.transfer(size_bytes))
-
-    def switch_to_host(self, port: Port, size_bytes: int) -> Generator:
-        yield from self.engine.subtask(port.from_switch.transfer(size_bytes))
-
     def total_bytes(self) -> int:
         """Bytes that occupied any link, including ones later dropped by an
         injected fault (they were serialized onto the wire regardless)."""

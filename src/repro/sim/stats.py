@@ -5,6 +5,10 @@ kinds: counters (invalidation counts, flushed pages), latency samples broken
 down by component (Fig. 7), and time series (directory occupancy in Fig. 8).
 :class:`StatsCollector` provides exactly those, with cheap recording on the
 hot path (plain dict/list appends).
+
+It is also the only writer of the windowed telemetry timeline: a record
+that carries its simulated time ``t`` is windowed here too when the run
+has telemetry on, so every instrumentation site makes one call.
 """
 
 from __future__ import annotations
@@ -85,8 +89,8 @@ class StatsCollector:
         #: utilizations); assignment semantics, unlike additive counters.
         self.gauges: Dict[str, float] = {}
         #: windowed telemetry (a :class:`repro.telemetry.MetricsTimeline`)
-        #: when the run enabled it; None otherwise.  Instrumentation sites
-        #: guard on ``is not None`` -- one attribute load when disabled.
+        #: when the run enabled it; None otherwise.  Only the recording
+        #: methods below write it.
         self.timeline: Optional["MetricsTimeline"] = None
         #: memoized per-category summaries, keyed by the sample count at
         #: computation time.  Appends grow the count, so staleness checks
@@ -95,14 +99,35 @@ class StatsCollector:
 
     # -- recording (hot path) -------------------------------------------
 
-    def incr(self, name: str, amount: int = 1) -> None:
+    def incr(self, name: str, amount: int = 1, t: Optional[float] = None) -> None:
+        """Add to a counter; with ``t``, also to its timeline window."""
         self.counters[name] += amount
+        if t is not None and self.timeline is not None:
+            self.timeline.incr(t, name, amount)
 
-    def record_latency(self, category: str, value: float) -> None:
+    def record_latency(
+        self, category: str, value: float, t: Optional[float] = None
+    ) -> None:
+        """Keep a latency sample; with ``t``, also window it."""
         self.latencies[category].append(value)
+        if t is not None and self.timeline is not None:
+            self.timeline.record_latency(t, category, value)
 
     def record_point(self, series: str, t: float, value: float) -> None:
+        """Append a time-series point; it is also the window's gauge."""
         self.timeseries[series].append((t, value))
+        if self.timeline is not None:
+            self.timeline.gauge(t, series, value)
+
+    def mark(self, t: float, label: str) -> None:
+        """Annotate the timeline with an instant (no-op without one)."""
+        if self.timeline is not None:
+            self.timeline.mark(t, label)
+
+    def set_phase(self, t: float, phase: str) -> None:
+        """Announce a service phase to the timeline (no-op without one)."""
+        if self.timeline is not None:
+            self.timeline.set_phase(t, phase)
 
     def add_breakdown(self, category: str, component: str, value: float) -> None:
         cat = self.breakdowns.get(category)

@@ -47,13 +47,17 @@ SCHEMA = "repro.sweep/v1"
 #: structural axes the runner consumes (never workload kwargs).
 STRUCTURAL_AXES = ("system", "workload", "blades", "threads_per_blade", "seed")
 
+#: RunnerConfig trace knobs: tracing is an execution-time decision
+#: (``execute_point(..., with_trace=True)``), so a grid may not name them.
+TRACE_KNOBS = ("trace", "trace_capacity")
+
 #: RunnerConfig fields a grid may override per point.  ``fault_plan`` and
 #: the trace knobs are excluded: plans are supplied (and re-seeded) by the
-#: engine, and tracing is an execution-time decision, not a grid axis.
+#: engine, and tracing is not a grid axis.
 RUNNER_AXES = tuple(
     f.name
     for f in fields(RunnerConfig)
-    if f.name not in ("fault_plan", "mind", "network")
+    if f.name not in ("fault_plan", "mind", "network", *TRACE_KNOBS)
 )
 
 #: workload registry: name -> builder(num_threads, seed, **params).
@@ -313,6 +317,11 @@ class GridSpec:
         for name, values in self.axes.items():
             if not values:
                 raise ValueError(f"grid axis {name!r} has no values")
+            if name in TRACE_KNOBS:
+                raise ValueError(
+                    f"{name!r} is not a grid axis: tracing is chosen per run "
+                    "(execute_point(..., with_trace=True))"
+                )
         for system in self.axes.get("system", []):
             if system not in SYSTEMS:
                 raise ValueError(

@@ -14,12 +14,12 @@ the time axis:
 - :mod:`~repro.telemetry.slo` -- SLO objective definitions evaluated
   over the timeline, with error-budget burn-rate accounting.
 
-Everything is pure data keyed by simulated time: recording computes a
-window index from the caller-supplied timestamp, so the timeline needs
-no scheduled events of its own and costs nothing when disabled (the
-kernel contract of the fast-path work: telemetry stays off the hot
-path).  Timelines pickle with the owning ``StatsCollector`` and
-serialize to byte-stable JSON documents, so sweep
+Everything is pure data keyed by simulated time: the stats collector
+windows each timestamped record as it is made, and gauges are sampled
+by an engine observer, so telemetry needs no scheduled events and costs
+nothing when disabled (the kernel contract of the fast-path work:
+telemetry stays off the hot path).  Timelines pickle with the owning
+``StatsCollector`` and serialize to byte-stable JSON documents, so sweep
 documents carrying windowed series are identical at any ``--jobs``.
 """
 

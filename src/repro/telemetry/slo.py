@@ -99,11 +99,6 @@ class SloResult:
         return 1.0 - self.windows_violating / self.windows_evaluated
 
     @property
-    def budget_windows(self) -> float:
-        """Violating windows the error budget allows."""
-        return (1.0 - self.objective.target) * self.windows_evaluated
-
-    @property
     def burn_rate(self) -> float:
         """Observed violation fraction over the allowed fraction."""
         if self.windows_evaluated == 0:
@@ -153,23 +148,25 @@ class SloReport:
             "objectives": [r.to_json() for r in self.results],
         }
 
-    def render(self) -> List[str]:
-        lines = []
-        for r in self.results:
-            status = "met" if r.met else "MISSED"
-            lines.append(
-                f"  {r.objective.name:<16s} {status:<7s}"
-                f"compliance {r.compliance:7.2%}  "
-                f"burn {r.burn_rate:6.2f}x  "
-                f"({r.windows_violating}/{r.windows_evaluated} windows over "
-                f"{r.objective.threshold_us:g} us {r.objective.stat_key})"
-            )
-            if r.violations_by_phase:
-                phase_bits = ", ".join(
-                    f"{p}={n}" for p, n in sorted(r.violations_by_phase.items())
-                )
-                lines.append(f"    violations by phase: {phase_bits}")
-        return lines
+
+def render_objectives(doc: Dict[str, Any]) -> List[str]:
+    """One line per objective (plus its phase split) of an
+    :meth:`SloReport.to_json` document."""
+    lines = []
+    for obj in doc["objectives"]:
+        status = "met" if obj["met"] else "MISSED"
+        lines.append(
+            f"  {obj['name']:<16s} {status:<7s}"
+            f"compliance {obj['compliance']:7.2%}  "
+            f"burn {obj['burn_rate']:6.2f}x  "
+            f"({obj['windows_violating']}/{obj['windows_evaluated']} windows over "
+            f"{obj['threshold_us']:g} us {_STAT_KEYS[obj['percentile']]})"
+        )
+        by_phase = obj["violations_by_phase"]
+        if by_phase:
+            phase_bits = ", ".join(f"{p}={n}" for p, n in sorted(by_phase.items()))
+            lines.append(f"    violations by phase: {phase_bits}")
+    return lines
 
 
 def evaluate_slos(

@@ -13,11 +13,13 @@ windows of ``window_us`` and accumulates, per window:
 
 There is **no flushing process**: the window index is computed from the
 caller-supplied timestamp at record time (``int(t / window_us)``), so the
-timeline schedules nothing, perturbs no event ordering, and adds zero
-events to the simulation -- the same run with telemetry on or off
-executes the identical event sequence.  That is the kernel contract the
-fast-path work established: observability must not change the simulated
-world.
+timeline schedules nothing and adds zero events to the simulation.  Its
+only writer is :class:`~repro.sim.stats.StatsCollector`, and its gauge
+samples come from an engine observer that schedules nothing either
+(:meth:`repro.sim.engine.Engine.observe`), so the same run with
+telemetry on or off executes the identical event sequence.  That is the
+kernel contract the fast-path work established: observability must not
+change the simulated world.
 
 Snapshots enumerate *every* window from 0 to the finalize time,
 including empty ones -- an empty window during an outage is the
@@ -34,6 +36,9 @@ from .histogram import LogHistogram
 
 #: schema tag stamped on serialized timeline documents.
 TIMELINE_SCHEMA = "repro.telemetry/v1"
+
+#: tumbling-window width of every run's timeline (simulated us).
+WINDOW_US = 500.0
 
 #: percentiles every window snapshot reports, in rank order.
 WINDOW_PERCENTILES = (50.0, 99.0, 99.9)
@@ -78,7 +83,7 @@ class WindowSnapshot:
 class MetricsTimeline:
     """Windowed latency/counter/gauge accumulator for one run."""
 
-    def __init__(self, window_us: float = 500.0):
+    def __init__(self, window_us: float = WINDOW_US):
         if window_us <= 0:
             raise ValueError("window_us must be positive")
         self.window_us = float(window_us)

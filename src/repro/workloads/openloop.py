@@ -24,7 +24,8 @@ Recorded latency categories: ``openloop:queue`` (time waiting for the
 worker), ``openloop:service`` (trace replay time), ``openloop:latency``
 (arrival to completion -- the end-to-end number SLOs are written
 against), plus ``openloop_arrivals``/``openloop_completions`` counters.
-All of them also land in the windowed timeline when telemetry is on.
+All but ``openloop:service`` also land in the windowed timeline when
+telemetry is on.
 
 Determinism: arrival schedules derive from ``stable_seed`` exactly like
 trace generation, so the same (workload, seed, thread) triple always
@@ -150,7 +151,6 @@ def open_loop_thread(
     """
     engine = blade.engine
     stats: "StatsCollector" = blade.stats
-    timeline = stats.timeline
     size = spec.request_size
     num_requests = -(-len(stream) // size)
     arrivals = arrival_times(spec, num_requests, seed)
@@ -166,9 +166,7 @@ def open_loop_thread(
         at = t_start + arrivals[r]
         if at > engine.now:
             yield at - engine.now
-        stats.incr("openloop_arrivals")
-        if timeline is not None:
-            timeline.incr(engine.now, "openloop:arrivals")
+        stats.incr("openloop_arrivals", t=engine.now)
         sub = stream.slice(r * size, (r + 1) * size)
         procs.append(
             engine.process(
@@ -191,7 +189,6 @@ def _request(
     """One request: queue for the worker, replay its trace slice."""
     engine = blade.engine
     stats = blade.stats
-    timeline = stats.timeline
     t_arrival = engine.now
     wait = 0.0 if worker.try_acquire() else ((yield worker.acquire()) or 0.0)
     try:
@@ -200,14 +197,10 @@ def _request(
         worker.release()
     t_done = engine.now
     total = t_done - t_arrival
-    stats.record_latency("openloop:queue", wait)
+    stats.record_latency("openloop:queue", wait, t=t_done)
     stats.record_latency("openloop:service", total - wait)
-    stats.record_latency("openloop:latency", total)
-    stats.incr("openloop_completions")
-    if timeline is not None:
-        timeline.record_latency(t_done, "openloop:queue", wait)
-        timeline.record_latency(t_done, "openloop:latency", total)
-        timeline.incr(t_done, "openloop:completions")
+    stats.record_latency("openloop:latency", total, t=t_done)
+    stats.incr("openloop_completions", t=t_done)
 
 
 def spec_from_config(config) -> Optional[ArrivalSpec]:

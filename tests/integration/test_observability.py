@@ -81,6 +81,17 @@ def test_span_components_sum_to_fault_latency_across_a_switch_crash():
     assert abs(math.fsum(breakdown.values()) - e2e) <= 1e-9 * e2e
 
 
+def test_resource_queue_tracks_drain_to_zero(traced_result):
+    # Every dequeue re-samples the depth, so a queue that empties by the
+    # end of the run shows 0 on its track instead of its last backlog.
+    last = {}
+    for _ts, _dur, _ph, cat, name, _tid, args in traced_result.trace.records():
+        if cat == "resource" and name.endswith(".queue"):
+            last[name] = args["value"]
+    assert last
+    assert all(depth == 0 for depth in last.values()), last
+
+
 def test_timestamps_are_simulated_not_wall_clock(traced_result):
     # All record timestamps lie within the simulated run window.
     for ts, dur, _ph, _cat, _name, _tid, _args in traced_result.trace.records():

@@ -1,12 +1,11 @@
-"""Unit tests for the background gauge sampler."""
+"""Unit tests for gauge sampling through the engine observer."""
 
 from collections import Counter
 
 import pytest
 
-from repro.obs.gauges import GaugeSampler
 from repro.runner import RunnerConfig, run_system
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, Resource, SimulationError
 from repro.sim.stats import StatsCollector
 from repro.workloads import UniformSharingWorkload
 
@@ -14,10 +13,8 @@ from repro.workloads import UniformSharingWorkload
 def test_sampler_records_timeseries_at_interval():
     engine = Engine()
     stats = StatsCollector()
-    sampler = GaugeSampler(engine, stats, interval_us=10.0)
     value = {"v": 0}
-    sampler.add("metric", lambda: value["v"])
-    sampler.start()
+    engine.observe(10.0, lambda t: stats.record_point("metric", t, float(value["v"])))
 
     def workload():
         for i in range(4):
@@ -25,11 +22,26 @@ def test_sampler_records_timeseries_at_interval():
             yield 10.0
 
     engine.run_process(workload())
-    sampler.stop()
     points = stats.series("metric")
-    # The sampler ticks first at each interval boundary, so it observes the
+    # A sample at t comes before every event at t, so it observes the
     # value set during the *previous* interval.
     assert points[:4] == [(0.0, 0.0), (10.0, 0.0), (20.0, 1.0), (30.0, 2.0)]
+
+
+def test_sample_comes_before_every_event_at_its_instant():
+    engine = Engine()
+    state = {"v": 0}
+    seen = []
+
+    def bump():
+        state["v"] += 1
+
+    for _ in range(3):
+        engine.schedule(10.0, bump)
+    engine.observe(10.0, lambda t: seen.append((t, state["v"])))
+    engine.run()
+    assert seen == [(0.0, 0), (10.0, 0)]
+    assert state["v"] == 3
 
 
 def test_report_trace_has_each_gauge_sample_once():
@@ -55,30 +67,53 @@ def test_report_trace_has_each_gauge_sample_once():
             assert (name, ts) in keys
 
 
-def test_stop_lets_the_queue_drain():
-    engine = Engine()
-    stats = StatsCollector()
-    sampler = GaugeSampler(engine, stats, interval_us=1.0)
-    sampler.add("g", lambda: 0)
-    sampler.start()
-    engine.run(until=2.5)  # ticks at t=0, 1, 2
-    sampler.stop()
-    engine.run()  # would never return if the sampler kept rescheduling
-    assert sampler.samples_taken == 3
+def _contended(engine):
+    """Three workers sharing one server: queueing, timeouts, inline advances."""
+    server = Resource(engine, capacity=1, name="server")
+
+    def worker(i):
+        for _ in range(5):
+            yield server.acquire()
+            yield 3.0 + i
+            server.release()
+            yield engine.timeout(1.5)
+
+    for i in range(3):
+        engine.process(worker(i))
 
 
-def test_start_is_idempotent():
+def test_observed_run_drains():
+    plain, observed = Engine(), Engine()
+    ticks = []
+    observed.observe(2.0, ticks.append)
+    for engine in (plain, observed):
+        _contended(engine)
+        engine.run()  # returns: the observer schedules nothing
+    assert observed.now == plain.now
+    assert observed.kernel_stats() == plain.kernel_stats()
+    assert ticks == [2.0 * k for k in range(len(ticks))]
+    assert ticks[-1] <= observed.now < ticks[-1] + 2.0
+
+
+def test_run_until_observes_every_instant_up_to_the_limit():
     engine = Engine()
-    sampler = GaugeSampler(engine, StatsCollector(), interval_us=1.0)
-    sampler.add("g", lambda: 1)
-    sampler.start()
-    sampler.start()  # must not spawn a second sampling process
-    engine.run(until=0.5)
-    assert sampler.samples_taken == 1
-    sampler.stop()
+    ticks = []
+    engine.observe(1.0, ticks.append)
+    engine.schedule(10.0, lambda: None)
+    engine.run(until=2.5)
+    assert ticks == [0.0, 1.0, 2.0]
     engine.run()
+    assert ticks == [float(k) for k in range(11)]
 
 
 def test_rejects_non_positive_interval():
-    with pytest.raises(ValueError):
-        GaugeSampler(Engine(), StatsCollector(), interval_us=0.0)
+    for interval in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            Engine().observe(interval, lambda t: None)
+
+
+def test_rejects_a_second_observer():
+    engine = Engine()
+    engine.observe(1.0, lambda t: None)
+    with pytest.raises(SimulationError):
+        engine.observe(5.0, lambda t: None)

@@ -13,7 +13,7 @@ from repro.sweep import (
     parse_grid,
 )
 from repro.sweep.presets import PRESETS, preset_grids
-from repro.sweep.spec import clear_workload_cache
+from repro.sweep.spec import RUNNER_AXES, clear_workload_cache
 
 
 class TestParseGrid:
@@ -42,6 +42,14 @@ class TestParseGrid:
     def test_unknown_workload_rejected(self):
         with pytest.raises(ValueError, match="unknown workload"):
             parse_grid("workload=nonsense")
+
+    @pytest.mark.parametrize("knob", ["trace", "trace_capacity"])
+    def test_trace_knobs_are_not_grid_axes(self, knob):
+        # A traced grid point would run traced and drop the trace, and
+        # execute_point(point, with_trace=True) would pass trace twice.
+        assert knob not in RUNNER_AXES
+        with pytest.raises(ValueError, match="not a grid axis"):
+            parse_grid(f"system=mind;{knob}=1")
 
 
 class TestExpansion:

@@ -3,8 +3,9 @@
 Three properties anchor the layer:
 
 1. **No perturbation**: the same run with telemetry on or off executes
-   the identical simulated event sequence -- runtime, counters and
-   latency summaries are bit-identical.  The timeline schedules nothing.
+   the identical simulated event sequence -- kernel counters, runtime,
+   counters and latency summaries are bit-identical.  Neither the
+   timeline nor gauge sampling schedules anything.
 2. **Fault attribution**: a switch-crash run joins the orchestrator's
    pre/degraded/post phases and the injector's marks to windows, and SLO
    violations land in the degraded phase.
@@ -34,6 +35,7 @@ class TestKernelContract:
     def test_telemetry_does_not_perturb_the_simulation(self):
         off = run(telemetry=False)
         on = run(telemetry=True)
+        assert on.kernel_stats == off.kernel_stats
         assert on.runtime_us == off.runtime_us
         assert on.stats.counters == off.stats.counters
         for category in off.stats.latencies:

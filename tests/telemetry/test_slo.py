@@ -8,6 +8,7 @@ from repro.telemetry import (
     SloObjective,
     evaluate_slos,
 )
+from repro.telemetry.slo import render_objectives
 
 
 def objective(threshold=10.0, target=0.9, percentile=99.0):
@@ -95,7 +96,7 @@ class TestEvaluation:
         tl = timeline([(10.0, 5.0), (150.0, 50.0)])
         report = evaluate_slos(tl, [objective()])
         assert not report.met
-        text = "\n".join(report.render())
+        text = "\n".join(render_objectives(report.to_json()))
         assert "MISSED" in text
         assert "burn" in text
 
