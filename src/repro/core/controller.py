@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional
 
 from ..alloc import BladeAllocation, GlobalAllocator, OutOfMemoryError
 from ..switchsim.control_cpu import ControlCpu
+from ..switchsim.tcam import TcamFullError
 from .addressing import AddressSpace
 from .directory import RegionDirectory
 from .protection import ProtectionTable
@@ -200,7 +201,9 @@ class SwitchController:
         """Allocate a vma; returns its base VA (like ``mmap(2)``).
 
         ``pdid`` defaults to the PID; capability-style callers may name a
-        different protection domain (e.g. one per client session).
+        different protection domain (e.g. one per client session).  When
+        the protection table cannot take the vma's rules, the placement is
+        freed and ``ENOMEM`` raised.
         """
         task = self._task(pid)
         if length <= 0:
@@ -213,20 +216,33 @@ class SwitchController:
             raise SyscallError(errno.ENOMEM, str(exc)) from exc
         self._charge_alloc()
         vma = Vma(placement.va_base, placement.length, pdid or pid, perm)
-        self.protection.grant(vma.pdid, vma, perm)
+        try:
+            self.protection.grant(vma.pdid, vma, perm)
+        except TcamFullError as exc:
+            self.allocator.free(placement.blade_id, placement.va_base)
+            self._charge_alloc()
+            raise SyscallError(errno.ENOMEM, str(exc)) from exc
         task.vmas[vma.base] = (vma, placement.blade_id)
         self._bump_version()
         return vma.base
 
     def sys_munmap(self, pid: int, va_base: int) -> None:
-        """Free a vma: revoke protection, drop directory entries, free space."""
+        """Free a vma: revoke protection, drop directory entries, free space.
+
+        Raises ``ENOMEM``, leaving the mapping intact, when the revoke
+        splits a coalesced protection rule and the pieces do not fit.
+        """
         task = self._task(pid)
-        entry = task.vmas.pop(va_base, None)
+        entry = task.vmas.get(va_base)
         if entry is None:
             raise SyscallError(errno.EINVAL, f"no vma at {va_base:#x}")
         vma, blade_id = entry
         self.control_cpu.syscalls_handled += 1
-        self.protection.revoke(vma.pdid, vma.base)
+        try:
+            self.protection.revoke(vma.pdid, vma.base)
+        except TcamFullError as exc:
+            raise SyscallError(errno.ENOMEM, str(exc)) from exc
+        del task.vmas[va_base]
         self._drop_directory_range(vma.base, vma.length)
         if self._drop_cached_range is not None:
             self._drop_cached_range(vma.base, vma.length)
@@ -255,6 +271,8 @@ class SwitchController:
         return base
 
     def sys_mprotect(self, pid: int, va_base: int, perm: PermissionClass) -> None:
+        """Change a vma's permission class; ``ENOMEM``, with the old class
+        in place, when the recompiled protection rules do not fit."""
         task = self._task(pid)
         entry = task.vmas.get(va_base)
         if entry is None:
@@ -262,7 +280,10 @@ class SwitchController:
         vma, blade_id = entry
         self.control_cpu.syscalls_handled += 1
         new_vma = vma.with_perm(perm)
-        self.protection.change(vma.pdid, new_vma, perm)
+        try:
+            self.protection.change(vma.pdid, new_vma, perm)
+        except TcamFullError as exc:
+            raise SyscallError(errno.ENOMEM, str(exc)) from exc
         task.vmas[va_base] = (new_vma, blade_id)
         # Cached copies must not retain stale (looser) permissions: flush
         # dirty pages and drop the range everywhere, then reset directory

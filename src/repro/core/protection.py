@@ -20,7 +20,7 @@ from typing import Dict, List, Tuple
 from ..switchsim.packets import AccessType, PacketVerdict
 from ..switchsim.tcam import (
     Tcam,
-    TcamFullError,
+    TcamEntry,
     VA_WIDTH,
     prefix_mask,
     split_range_to_pow2,
@@ -30,6 +30,8 @@ from .vma import PermissionClass, Vma
 #: Width of the PDID field packed above the VA in the TCAM key.
 PDID_WIDTH = 16
 KEY_WIDTH = VA_WIDTH + PDID_WIDTH
+#: Key bits of the PDID field, matched exactly by every protection rule.
+_PDID_MASK = ((1 << PDID_WIDTH) - 1) << VA_WIDTH
 
 
 def pack_key(pdid: int, va: int) -> int:
@@ -46,17 +48,23 @@ class ProtectionTable:
     """The ``<PDID, vma> -> PC`` table in switch TCAM.
 
     The control plane keeps the authoritative ``<pdid, vma> -> perm`` map;
-    the TCAM holds its compiled form (power-of-two prefixes, buddies with
-    equal payloads coalesced).  Rule changes recompile the affected domain,
-    which keeps revocation correct even when a coalesced entry spanned
-    several vmas.  vma counts are small in practice (Section 7.2), so
-    recompiling a domain is a handful of PCIe rule updates.
+    the TCAM holds its compiled form.  Every rule change recompiles the
+    affected domain straight to its coalesced rules: adjacent grants with
+    equal permission merge into runs, and each run becomes its maximal
+    aligned power-of-two blocks -- the fixpoint :meth:`Tcam.coalesce`
+    reaches by merging buddies.  The new rules replace the domain's old
+    ones in one all-or-nothing TCAM update, so revocation stays correct
+    even when a coalesced entry spanned several vmas, and a refused update
+    leaves grants and rules as they were.  A domain's grants never overlap
+    (each is a distinct allocator vma), so a key matches at most one rule.
     """
 
     def __init__(self, tcam: Tcam):
         self.tcam = tcam
-        # (pdid, vma.base) -> (vma, perm): the authoritative grants.
-        self._grants: Dict[Tuple[int, int], Tuple[Vma, PermissionClass]] = {}
+        # pdid -> vma.base -> (vma, perm): the authoritative grants.
+        self._grants: Dict[int, Dict[int, Tuple[Vma, PermissionClass]]] = {}
+        # pdid -> the TCAM entries compiled from that domain's grants.
+        self._rules: Dict[int, List[TcamEntry]] = {}
         self.checks = 0
         self.rejections = 0
 
@@ -70,18 +78,15 @@ class ProtectionTable:
 
         Returns the number of TCAM entries now covering this domain.
         """
-        key = (pdid, vma.base)
-        if key in self._grants:
+        # A VA past the field would spill into the PDID bits of a rule.
+        pack_key(pdid, vma.base)
+        pack_key(pdid, vma.end - 1)
+        domain = self._grants.get(pdid, {})
+        if vma.base in domain:
             raise ValueError(
                 f"protection for pdid={pdid} vma@{vma.base:#x} already granted"
             )
-        self._grants[key] = (vma, perm)
-        try:
-            return self._recompile_domain(pdid)
-        except TcamFullError:
-            del self._grants[key]
-            self._recompile_domain(pdid)
-            raise
+        return self._recompile_domain(pdid, {**domain, vma.base: (vma, perm)})
 
     def grants(self) -> List[Tuple[int, Vma, PermissionClass]]:
         """The authoritative grant list, sorted: ``(pdid, vma, perm)``.
@@ -92,44 +97,58 @@ class ProtectionTable:
         """
         return [
             (pdid, vma, perm)
-            for (pdid, _base), (vma, perm) in sorted(self._grants.items())
+            for pdid, domain in sorted(self._grants.items())
+            for _base, (vma, perm) in sorted(domain.items())
         ]
 
     def revoke(self, pdid: int, vma_base: int) -> None:
         """Remove the grant for ``<pdid, vma>`` (munmap path)."""
-        if self._grants.pop((pdid, vma_base), None) is None:
+        domain = dict(self._grants.get(pdid, {}))
+        if domain.pop(vma_base, None) is None:
             raise KeyError(f"no protection entries for pdid={pdid} @ {vma_base:#x}")
-        self._recompile_domain(pdid)
+        self._recompile_domain(pdid, domain)
 
     def change(self, pdid: int, vma: Vma, perm: PermissionClass) -> None:
         """mprotect: replace the grant with the new permission class."""
-        self.revoke(pdid, vma.base)
-        self.grant(pdid, vma, perm)
+        domain = self._grants.get(pdid, {})
+        if vma.base not in domain:
+            raise KeyError(f"no protection entries for pdid={pdid} @ {vma.base:#x}")
+        self._recompile_domain(pdid, {**domain, vma.base: (vma, perm)})
 
-    def _recompile_domain(self, pdid: int) -> int:
-        """Rebuild the TCAM entries of one protection domain from grants."""
-        self.tcam.remove_where(
-            lambda e: isinstance(e.data, tuple) and e.data[0] == pdid
-        )
-        count = 0
-        for (g_pdid, _base), (vma, perm) in sorted(self._grants.items()):
-            if g_pdid != pdid:
-                continue
-            for base, size in split_range_to_pow2(vma.base, vma.length):
-                value = pack_key(pdid, base)
-                prefix_len = VA_WIDTH - (size.bit_length() - 1)
+    def _recompile_domain(
+        self, pdid: int, domain: Dict[int, Tuple[Vma, PermissionClass]]
+    ) -> int:
+        """Install ``domain`` as ``pdid``'s grants, compiled to coalesced
+        rules; returns the domain's rule count.
+
+        Raises :class:`TcamFullError`, changing nothing, when the rules do
+        not fit beside the other domains' rules.
+        """
+        # (base, end, perm) of each run of adjacent grants with equal perm.
+        runs: List[Tuple[int, int, PermissionClass]] = []
+        for base in sorted(domain):
+            vma, perm = domain[base]
+            if runs and runs[-1][1] == base and runs[-1][2] == perm:
+                runs[-1] = (runs[-1][0], vma.end, perm)
+            else:
+                runs.append((base, vma.end, perm))
+        key = pack_key(pdid, 0)
+        rules: List[Tuple[int, int, int, Tuple[int, PermissionClass]]] = []
+        for base, end, perm in runs:
+            data = (pdid, perm)
+            for block, size in split_range_to_pow2(base, end - base):
                 # Exact match on PDID bits + VA prefix.
-                mask = (
-                    prefix_mask(PDID_WIDTH, PDID_WIDTH) << VA_WIDTH
-                ) | prefix_mask(prefix_len, VA_WIDTH)
-                self.tcam.insert(value, mask, PDID_WIDTH + prefix_len, (pdid, perm))
-                count += 1
-        self.tcam.coalesce(width=KEY_WIDTH)
-        return sum(
-            1
-            for e in self.tcam
-            if isinstance(e.data, tuple) and e.data[0] == pdid
-        )
+                shift = size.bit_length() - 1
+                mask = _PDID_MASK | prefix_mask(VA_WIDTH - shift, VA_WIDTH)
+                rules.append((key | block, mask, KEY_WIDTH - shift, data))
+        entries = self.tcam.replace(self._rules.get(pdid, ()), rules)
+        if domain:
+            self._grants[pdid] = domain
+            self._rules[pdid] = entries
+        else:
+            self._grants.pop(pdid, None)
+            self._rules.pop(pdid, None)
+        return len(entries)
 
     # -- data-plane check ---------------------------------------------------
 

@@ -19,7 +19,7 @@ pressure is what drives the Fig. 8/9 results).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 #: Virtual addresses are 48-bit, as on x86-64.
 VA_WIDTH = 48
@@ -151,11 +151,32 @@ class Tcam:
     def remove(self, entry: TcamEntry) -> None:
         self._entries.remove(entry)
 
-    def remove_where(self, predicate) -> int:
-        """Remove all entries matching a predicate; returns count removed."""
-        before = len(self._entries)
-        self._entries = [e for e in self._entries if not predicate(e)]
-        return before - len(self._entries)
+    def replace(
+        self,
+        old: Sequence[TcamEntry],
+        rules: Sequence[Tuple[int, int, int, Any]],
+    ) -> List[TcamEntry]:
+        """Swap the installed entries ``old`` for ``(value, mask, priority,
+        data)`` ``rules`` in one update; returns the new entries.
+
+        All-or-nothing: if ``rules`` do not fit once ``old`` is gone, or a
+        rule has value bits outside its mask, the table is left unchanged.
+        """
+        gone = {id(entry) for entry in old}
+        kept = [entry for entry in self._entries if id(entry) not in gone]
+        if len(kept) + len(rules) > self.capacity:
+            raise TcamFullError(
+                f"{self.name}: update needs {len(rules)} entries, "
+                f"{self.capacity - len(kept)} free"
+            )
+        new: List[TcamEntry] = []
+        for value, mask, priority, data in rules:
+            if value & ~mask:
+                raise ValueError("entry value has bits outside its mask")
+            new.append(TcamEntry(value, mask, priority, data))
+        kept.extend(new)
+        self._entries = kept
+        return new
 
     def lookup(self, key: int) -> Optional[TcamEntry]:
         """Highest-priority match for ``key`` (LPM for prefix entries)."""

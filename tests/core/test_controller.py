@@ -201,3 +201,57 @@ class TestVersioning:
         base = ctl.sys_mmap(task.pid, PAGE_SIZE)
         ctl.sys_munmap(task.pid, base)
         assert ctl.version >= v0 + 3
+
+
+class TestFullProtectionTable:
+    """Syscalls at a full protection table answer ``ENOMEM`` and leave
+    every piece of state as it was."""
+
+    @pytest.fixture
+    def full(self):
+        # A full 4-rule protection table.  ``a`` maps four adjacent vmas
+        # (one coalesced rule); ``b``, ``c`` and ``d`` one vma each.
+        cluster = small_cluster(match_action_capacity=8, protection_share=0.5)
+        ctl = cluster.controller
+        a, b, c, d = (ctl.sys_exec(name) for name in "abcd")
+        bases = [ctl.sys_mmap(a.pid, 3 * PAGE_SIZE) for _ in range(4)]
+        for task in (b, c, d):
+            ctl.sys_mmap(task.pid, 3 * PAGE_SIZE)
+        assert len(cluster.mmu.protection) == 4
+        return cluster, a, d, bases
+
+    def test_refused_mmap_frees_its_placement(self, full):
+        cluster, _a, _d, _bases = full
+        ctl = cluster.controller
+        task = ctl.sys_exec("e")
+        allocated = cluster.mmu.allocator.allocated_per_blade()
+        for _attempt in range(2):
+            with pytest.raises(SyscallError) as exc:
+                ctl.sys_mmap(task.pid, 3 * PAGE_SIZE)
+            assert exc.value.errno == errno.ENOMEM
+            assert cluster.mmu.allocator.allocated_per_blade() == allocated
+            assert ctl.task(task.pid).vmas == {}
+
+    def test_refused_munmap_and_mprotect_keep_the_mapping(self, full):
+        cluster, a, d, bases = full
+        ctl = cluster.controller
+        vmas = dict(ctl.task(a.pid).vmas)
+        allocated = cluster.mmu.allocator.allocated_per_blade()
+        # Either would split a's coalesced rule into more than fit.
+        with pytest.raises(SyscallError) as exc:
+            ctl.sys_munmap(a.pid, bases[1])
+        assert exc.value.errno == errno.ENOMEM
+        with pytest.raises(SyscallError) as exc:
+            ctl.sys_mprotect(a.pid, bases[1], PermissionClass.READ_ONLY)
+        assert exc.value.errno == errno.ENOMEM
+        assert ctl.task(a.pid).vmas == vmas
+        assert cluster.mmu.allocator.allocated_per_blade() == allocated
+        assert (
+            cluster.mmu.protection.check(a.pid, bases[1], AccessType.WRITE)
+            is PacketVerdict.ALLOW
+        )
+        # Once another domain's rule is gone, the split fits.
+        ctl.sys_exit(d.pid)
+        ctl.sys_munmap(a.pid, bases[1])
+        assert bases[1] not in ctl.task(a.pid).vmas
+        assert len(cluster.mmu.protection) == 4

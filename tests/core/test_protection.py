@@ -1,14 +1,25 @@
 """Unit tests for domain-based memory protection."""
 
-import pytest
+from collections import Counter
 
-from repro.core.protection import PDID_WIDTH, ProtectionTable, pack_key
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.protection import KEY_WIDTH, PDID_WIDTH, ProtectionTable, pack_key
 from repro.core.vma import PermissionClass, Vma
 from repro.switchsim.packets import AccessType, PacketVerdict
-from repro.switchsim.tcam import Tcam, TcamFullError, VA_WIDTH
+from repro.switchsim.tcam import (
+    Tcam,
+    TcamFullError,
+    VA_WIDTH,
+    prefix_mask,
+    split_range_to_pow2,
+)
 
 RW = PermissionClass.READ_WRITE
 RO = PermissionClass.READ_ONLY
+PAGE = 0x1000
 
 
 @pytest.fixture
@@ -178,3 +189,156 @@ class TestAccounting:
         table.grant(2, Vma(0x1000, 0x1000, 2, RW), RW)
         with pytest.raises(TcamFullError):
             table.grant(3, Vma(0x2000, 0x1000, 3, RW), RW)
+
+
+def _verdicts(table, pdids, pages):
+    return [
+        table.check(pdid, page * PAGE, access)
+        for pdid in pdids
+        for page in pages
+        for access in (AccessType.READ, AccessType.WRITE)
+    ]
+
+
+class TestAllOrNothing:
+    @pytest.fixture
+    def table4(self):
+        """A 4-rule table holding pdid 1's pages 0-3 (one coalesced rule)
+        and pdid 2's pages 0x10 and 0x20."""
+        table = ProtectionTable(Tcam(4))
+        for page in range(4):
+            grant(table, pdid=1, base=page * PAGE, length=PAGE)
+        grant(table, pdid=2, base=0x10000, length=PAGE)
+        grant(table, pdid=2, base=0x20000, length=PAGE)
+        assert len(table) == 3
+        return table
+
+    def test_grant_fits_when_its_coalesced_rules_fit(self, table4):
+        # Five uncoalesced prefixes, but only two coalesced rules.
+        assert grant(table4, pdid=1, base=0x8000, length=PAGE) == 2
+        assert len(table4) == 4
+        for page in (0x0, 0x1, 0x2, 0x3, 0x8):
+            assert table4.check(1, page * PAGE, AccessType.WRITE) is PacketVerdict.ALLOW
+        assert table4.check(1, 0x4000, AccessType.READ) is PacketVerdict.REJECT_NO_ENTRY
+
+    def test_refused_update_changes_nothing(self, table4):
+        grant(table4, pdid=1, base=0x8000, length=PAGE)
+        pages = range(0x22)
+        before = (table4.grants(), len(table4), _verdicts(table4, (1, 2), pages))
+        with pytest.raises(TcamFullError):
+            grant(table4, pdid=1, base=0xA000, length=PAGE)
+        assert (table4.grants(), len(table4), _verdicts(table4, (1, 2), pages)) == before
+        # Splitting the coalesced run [0, 4) needs more rules than are free.
+        with pytest.raises(TcamFullError):
+            table4.revoke(1, 0x1000)
+        with pytest.raises(TcamFullError):
+            table4.change(1, Vma(0x2000, PAGE, 1, RO), RO)
+        assert (table4.grants(), len(table4), _verdicts(table4, (1, 2), pages)) == before
+
+    @pytest.mark.parametrize(
+        "pdid, base",
+        [(1 << PDID_WIDTH, 0x20000), (1, (1 << VA_WIDTH) - PAGE)],
+        ids=["pdid", "va-end"],
+    )
+    def test_out_of_range_grant_is_not_recorded(self, table, pdid, base):
+        grant(table, pdid=1, base=0x10000, length=PAGE)
+        before = (table.grants(), len(table))
+        vma = Vma(base, 2 * PAGE, pdid, RW)
+        for _attempt in range(2):
+            with pytest.raises(ValueError, match="does not fit"):
+                table.grant(pdid, vma, RW)
+            assert (table.grants(), len(table)) == before
+
+
+def _reference_rules(grants):
+    """The rule multiset of inserting every grant's prefixes and then
+    coalescing buddies to fixpoint."""
+    ref = Tcam(1 << 20)
+    pdid_mask = prefix_mask(PDID_WIDTH, PDID_WIDTH) << VA_WIDTH
+    for pdid, vma, perm in grants:
+        for base, size in split_range_to_pow2(vma.base, vma.length):
+            prefix_len = VA_WIDTH - (size.bit_length() - 1)
+            ref.insert(
+                pack_key(pdid, base),
+                pdid_mask | prefix_mask(prefix_len, VA_WIDTH),
+                PDID_WIDTH + prefix_len,
+                (pdid, perm),
+            )
+    ref.coalesce(width=KEY_WIDTH)
+    return _rule_set(ref)
+
+
+def _rule_set(tcam):
+    return Counter((e.value, e.mask, e.priority, e.data) for e in tcam)
+
+
+WINDOW_PAGES = 24
+MAX_PAGES = 6
+PDIDS = (1, 2, 3, 4)
+
+_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["grant", "revoke", "change"]),
+        st.sampled_from(PDIDS),
+        st.integers(min_value=0, max_value=WINDOW_PAGES - 1),
+        st.integers(min_value=1, max_value=MAX_PAGES),
+        st.sampled_from(list(PermissionClass)),
+    ),
+    min_size=10,
+    max_size=50,
+)
+
+
+class TestCompiledRules:
+    @given(ops=_ops, capacity=st.one_of(st.integers(3, 12), st.none()))
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_property_matches_coalesce_fixpoint(self, ops, capacity):
+        """Random disjoint grant/revoke/change sequences: the table always
+        holds exactly the coalesced fixpoint of its grants, every granted
+        page checks to its permission and no other page matches, and a
+        refused update changes nothing -- and is refused only when the
+        fixpoint does not fit."""
+        table = ProtectionTable(Tcam(capacity or 1 << 20))
+        model = {}  # (pdid, base) -> (vma, perm)
+        for kind, pdid, page, pages, perm in ops:
+            mine = sorted(base for p, base in model if p == pdid)
+            after = dict(model)
+            if kind == "grant":
+                vma = Vma(page * PAGE, pages * PAGE, pdid, perm)
+                if any(model[pdid, base][0].overlaps(vma) for base in mine):
+                    continue
+                after[pdid, vma.base] = (vma, perm)
+            elif mine:
+                vma = model[pdid, mine[page % len(mine)]][0].with_perm(perm)
+                if kind == "revoke":
+                    del after[pdid, vma.base]
+                else:
+                    after[pdid, vma.base] = (vma, perm)
+            else:
+                continue
+            before = (table.grants(), _rule_set(table.tcam))
+            try:
+                if kind == "grant":
+                    table.grant(pdid, vma, perm)
+                elif kind == "revoke":
+                    table.revoke(pdid, vma.base)
+                else:
+                    table.change(pdid, vma, perm)
+            except TcamFullError:
+                assert (table.grants(), _rule_set(table.tcam)) == before
+                refused = [(p, *after[p, base]) for p, base in after]
+                assert sum(_reference_rules(refused).values()) > table.tcam.capacity
+                continue
+            model = after
+            grants = [(p, *model[p, base]) for p, base in sorted(model)]
+            assert table.grants() == grants
+            assert _rule_set(table.tcam) == _reference_rules(grants)
+            for p in PDIDS:
+                for va in range(0, (WINDOW_PAGES + MAX_PAGES) * PAGE, PAGE):
+                    key = pack_key(p, va)
+                    hits = [e.data for e in table.tcam if e.matches(key)]
+                    assert hits == [
+                        (p, g_perm)
+                        for g_pdid, g_vma, g_perm in grants
+                        if g_pdid == p and g_vma.contains(va)
+                    ]

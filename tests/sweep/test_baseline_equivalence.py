@@ -6,6 +6,10 @@ the recorded metrics proves the fast paths changed no simulated result
 -- not within a tolerance: to the last bit of every float.  Any
 intentional model change that re-blesses the baseline keeps this test
 meaningful for the next kernel change.
+
+The malloc ablation baseline (``benchmarks/BENCH_alloc.json``) holds the
+same contract for the control plane: its churn points are the only ones
+that recompile protection domains at volume.
 """
 
 import json
@@ -16,24 +20,17 @@ import pytest
 from repro.sweep.engine import execute_point
 from repro.sweep.spec import SweepPoint
 
-BASELINE = os.path.join(
-    os.path.dirname(__file__), "..", "..", "benchmarks", "BENCH_baseline.json"
-)
+BENCHMARKS = os.path.join(os.path.dirname(__file__), "..", "..", "benchmarks")
 
 
-def _baseline_points():
-    with open(BASELINE) as fh:
+def _baseline_points(name):
+    with open(os.path.join(BENCHMARKS, name)) as fh:
         doc = json.load(fh)
     assert doc["schema"] == "repro.sweep/v1"
     return doc["points"]
 
 
-@pytest.mark.parametrize(
-    "recorded",
-    _baseline_points(),
-    ids=lambda rec: rec["point_id"][:12],
-)
-def test_ci_quick_cell_matches_baseline_exactly(recorded):
+def _assert_replays_exactly(recorded):
     point = SweepPoint.from_json(recorded)
     fresh = execute_point(point).metrics
     # Newer code may *add* metrics (e.g. the transaction-engine counters
@@ -47,3 +44,21 @@ def test_ci_quick_cell_matches_baseline_exactly(recorded):
         if fresh[name] != want
     }
     assert not mismatched, f"simulated results drifted: {mismatched}"
+
+
+@pytest.mark.parametrize(
+    "recorded",
+    _baseline_points("BENCH_baseline.json"),
+    ids=lambda rec: rec["point_id"][:12],
+)
+def test_ci_quick_cell_matches_baseline_exactly(recorded):
+    _assert_replays_exactly(recorded)
+
+
+@pytest.mark.parametrize(
+    "recorded",
+    _baseline_points("BENCH_alloc.json"),
+    ids=lambda rec: rec["point_id"][:12],
+)
+def test_malloc_bench_point_matches_baseline_exactly(recorded):
+    _assert_replays_exactly(recorded)

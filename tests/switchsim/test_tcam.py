@@ -140,13 +140,29 @@ class TestTcam:
         assert tcam.lookup(0x500) is None
         assert tcam.free == 4
 
-    def test_remove_where(self):
+    def test_replace_is_all_or_nothing(self):
+        tcam = Tcam(3)
+        a = tcam.insert_prefix(0x0, 0x1000, "a")
+        b = tcam.insert_prefix(0x1000, 0x1000, "b")
+        mask = prefix_mask(VA_WIDTH - 12)
+        rules = [(0x4000, mask, VA_WIDTH - 12, "c"), (0x5000, mask, VA_WIDTH - 12, "c")]
+        # Two new rules fit only once ``a`` is gone: the swap is one update.
+        new = tcam.replace([a], rules)
+        assert [e.data for e in new] == ["c", "c"]
+        assert len(tcam) == 3 and tcam.lookup(0x0) is None
+        assert tcam.lookup(0x1800) is b and tcam.lookup(0x5800) is new[1]
+        # Three rules in place of one leave no room: nothing changes.
+        before = list(tcam)
+        with pytest.raises(TcamFullError):
+            tcam.replace([b], rules + [(0x6000, mask, VA_WIDTH - 12, "c")])
+        assert list(tcam) == before
+
+    def test_replace_rejects_value_outside_mask(self):
         tcam = Tcam(4)
-        tcam.insert_prefix(0x0, 0x1000, "a")
-        tcam.insert_prefix(0x1000, 0x1000, "b")
-        removed = tcam.remove_where(lambda e: e.data == "a")
-        assert removed == 1
-        assert len(tcam) == 1
+        a = tcam.insert_prefix(0x0, 0x1000, "a")
+        with pytest.raises(ValueError):
+            tcam.replace([a], [(0x1000, 0x1000, 1, "b"), (0xFF, 0xF0, 1, "c")])
+        assert list(tcam) == [a]
 
     def test_value_outside_mask_rejected(self):
         tcam = Tcam(4)
