@@ -2,21 +2,22 @@
 """Switch fail-over: rebuilding the data plane from the replicated
 control plane (Section 4.4).
 
-MIND consistently replicates its control-plane state (processes, vmas,
-allocations) at a backup switch; control state only changes on metadata
-operations, so replication is cheap.  When the primary dies, the backup
-reprograms a fresh data plane -- translation and protection tables exactly,
-the coherence directory cold (blades re-fault and re-warm it).
+MIND consistently replicates its control-plane state (translation entries,
+protection grants, allocations) at a backup switch; control state only
+changes on metadata operations, so replication is cheap.  When the primary
+dies, the backup reprograms a fresh data plane -- translation and
+protection tables exactly, the coherence directory cold (blades re-fault
+and re-warm it).
 
-This example snapshots a live system, "fails" the switch, rebuilds on
-backup hardware, and shows translation/protection survive while the
-directory re-populates on demand.
+This example captures a live system's control plane, "fails" the switch,
+rebuilds on backup hardware, and shows translation/protection survive
+while the directory re-populates on demand.
 
 Run:  python examples/switch_failover.py
 """
 
 from repro.api import MindSystem, PermissionClass
-from repro.core.failures import ControlPlaneReplicator, rebuild_data_plane
+from repro.core.failures import capture_control_plane, rebuild_data_plane
 from repro.switchsim.packets import AccessType, PacketVerdict
 from repro.switchsim.sram import RegisterArray
 from repro.switchsim.tcam import Tcam
@@ -32,11 +33,11 @@ def main() -> None:
     print(f"primary switch: {len(system.cluster.mmu.protection)} protection "
           f"entries, {system.cluster.mmu.directory_entries()} directory entries")
 
-    # The backup continuously mirrors control-plane state (here: on demand).
-    replicator = ControlPlaneReplicator(system.controller)
-    snapshot = replicator.capture()
-    print(f"replicated control plane at version {snapshot.version}: "
-          f"{len(snapshot.vmas)} vmas, {len(snapshot.tasks)} tasks")
+    # The backup holds what the primary's control plane holds; capture it.
+    snapshot = capture_control_plane(system.controller)
+    print(f"replicated control plane: {len(snapshot.blade_ranges)} blade ranges, "
+          f"{len(snapshot.grants)} protection grants, "
+          f"{len(snapshot.allocations)} allocations")
 
     # --- primary switch fails; program a backup switch's tables ---
     backup = rebuild_data_plane(

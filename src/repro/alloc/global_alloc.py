@@ -5,29 +5,24 @@ counts; each allocation goes to the blade with the least.  Because the VA
 space is range-partitioned one-to-one onto blades, choosing a blade fixes
 the VA range the per-blade policy carves from.
 
-Two things changed relative to the legacy ``repro.core.allocator`` version:
-
-- the per-blade allocator is a pluggable :class:`AllocatorPolicy` chosen by
-  name (``first-fit`` remains the default and is placement-identical);
-- the least-allocated ordering is maintained *incrementally*: every policy
-  mutation fires a hook that repositions just that blade in a sorted
-  ``(allocated_bytes, blade_id)`` list (two bisects), instead of re-sorting
-  all blades on every allocation -- the difference between O(log n) and
-  O(n log n) per mmap at 2048 blades in the ``multirack-scale`` sweep.
-  The hook fires on *any* mutation path, including direct ``blade()``
-  access by migration and tests, so the ordering can never go stale.
+The per-blade allocator is a pluggable :class:`AllocatorPolicy` chosen by
+name (``first-fit`` is the default).  Each allocation sorts the blades by
+``(allocated_bytes, blade_id)`` and probes them in that order.  An
+allocator holds one rack's memory blades (no preset or benchmark gives it
+more than 8), so the sort is cheap and no order is kept between calls.
 
 When a cost model is attached (the ``allocator=`` axis is set), every
 operation also produces ``last_cost_us`` for the controller to charge on
 the switch control CPU, and the per-blade metadata footprints are banked
-against a :class:`~repro.switchsim.sram.MetadataSram`.
+against a :class:`~repro.switchsim.sram.MetadataSram`.  Every mutation
+goes through this class -- migration shadows too (:meth:`allocate_on`) --
+and re-banks the footprint of the one blade it touched.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple, Type
+from typing import Dict, Iterable, List, Optional, Type
 
 from .arena import ArenaAllocator
 from .buddy import BuddyAllocator
@@ -88,11 +83,8 @@ class GlobalAllocator:
         self.cost_model = cost_model
         self.metadata_sram = metadata_sram
         self._blades: Dict[int, AllocatorPolicy] = {}
-        #: sorted (allocated_bytes, blade_id) -- the placement order.
-        self._order: List[Tuple[int, int]] = []
-        self._keys: Dict[int, Tuple[int, int]] = {}
+        #: blade id -> metadata bytes banked as of its last operation.
         self._metadata: Dict[int, int] = {}
-        self._metadata_total = 0
         #: modeled control-CPU cost of the most recent operation (us).
         self.last_cost_us = 0.0
         self.enomem_count = 0
@@ -107,14 +99,8 @@ class GlobalAllocator:
     def add_blade(self, blade_id: int, va_base: int, size: int) -> None:
         if blade_id in self._blades:
             raise ValueError(f"blade {blade_id} already registered")
-        policy = self._policy_cls(va_base, size)
-        self._blades[blade_id] = policy
-        key = (policy.allocated_bytes, blade_id)
-        insort(self._order, key)
-        self._keys[blade_id] = key
-        self._metadata[blade_id] = 0
-        self._blade_mutated(blade_id)
-        policy._on_mutate = lambda b=blade_id: self._blade_mutated(b)
+        self._blades[blade_id] = self._policy_cls(va_base, size)
+        self._rebank(blade_id)
 
     def remove_blade(self, blade_id: int, force: bool = False) -> None:
         """Retire a blade.  ``force`` skips the emptiness check -- used
@@ -128,10 +114,8 @@ class GlobalAllocator:
                 f"blade {blade_id} still has {alloc.allocated_bytes} bytes allocated; "
                 "migrate before retiring"
             )
-        alloc._on_mutate = None
         del self._blades[blade_id]
-        self._order.remove(self._keys.pop(blade_id))
-        self._metadata_total -= self._metadata.pop(blade_id)
+        del self._metadata[blade_id]
         self._sync_sram()
 
     def blade(self, blade_id: int) -> AllocatorPolicy:
@@ -144,26 +128,16 @@ class GlobalAllocator:
     def allocated_per_blade(self) -> Dict[int, int]:
         return {bid: alloc.allocated_bytes for bid, alloc in self._blades.items()}
 
-    # -- incremental ordering ---------------------------------------------
+    # -- metadata banking --------------------------------------------------
 
-    def _blade_mutated(self, blade_id: int) -> None:
-        """Reposition one blade in the placement order; refresh metadata."""
-        policy = self._blades[blade_id]
-        old_key = self._keys[blade_id]
-        new_key = (policy.allocated_bytes, blade_id)
-        if new_key != old_key:
-            idx = bisect_left(self._order, old_key)
-            del self._order[idx]
-            insort(self._order, new_key)
-            self._keys[blade_id] = new_key
-        meta = policy.metadata_bytes()
-        self._metadata_total += meta - self._metadata[blade_id]
-        self._metadata[blade_id] = meta
+    def _rebank(self, blade_id: int) -> None:
+        """Re-read one blade's metadata footprint into the SRAM bank."""
+        self._metadata[blade_id] = self._blades[blade_id].metadata_bytes()
         self._sync_sram()
 
     def _sync_sram(self) -> None:
         if self.metadata_sram is not None:
-            self.metadata_sram.set_used(self._metadata_total)
+            self.metadata_sram.set_used(sum(self._metadata.values()))
 
     def attach_metadata_sram(self, sram) -> None:
         """(Re)bind the SRAM bank -- used when a backup switch adopts a
@@ -181,43 +155,53 @@ class GlobalAllocator:
     def allocate(self, length: int, owner: Optional[int] = None) -> BladeAllocation:
         """Place a new vma on the least-allocated blade that can fit it.
 
-        The length is padded per the active policy (the default first-fit
-        pads to a power of two, min one page, so the vma is a single TCAM
+        Blades are probed in ``(allocated_bytes, blade_id)`` order.  The
+        length is padded per the active policy (the default first-fit pads
+        to a power of two, min one page, so the vma is a single TCAM
         prefix) and the base aligned per the policy's rule.
         """
         if not self._blades:
             raise OutOfMemoryError("no memory blades registered")
         padded = self._policy_cls.padded_size(length)
         alignment = self._policy_cls.alignment_for(padded)
-        order = self._order
-        probes = 0
-        while probes < len(order):
-            blade_id = order[probes][1]
+        order = sorted((alloc.allocated_bytes, bid) for bid, alloc in self._blades.items())
+        for probes, (_allocated, blade_id) in enumerate(order):
             alloc = self._blades[blade_id]
             try:
                 base = alloc.allocate(
                     padded, alignment, requested=length, owner=owner
                 )
             except OutOfMemoryError:
-                probes += 1
                 continue
-            # Success mutated the order; return before touching it again.
             self.last_cost_us = self._cost(alloc.last_op_steps + probes)
+            self._rebank(blade_id)
             return BladeAllocation(blade_id, base, padded, self.last_cost_us)
         self.enomem_count += 1
         self.last_cost_us = self._cost(len(order))
         raise OutOfMemoryError(f"no blade can fit {padded:#x} bytes")
 
+    def allocate_on(self, blade_id: int, length: int, alignment: int) -> int:
+        """Place a ``length``-byte block on a named blade (a migration's
+        destination shadow); returns its base."""
+        alloc = self._blades[blade_id]
+        base = alloc.allocate(length, alignment)
+        self.last_cost_us = self._cost(alloc.last_op_steps)
+        self._rebank(blade_id)
+        return base
+
     def allocate_at(self, blade_id: int, base: int, length: int) -> int:
         """Claim an exact range on a named blade (fail-over replay)."""
-        result = self._blades[blade_id].allocate_at(base, length)
-        self.last_cost_us = self._cost(self._blades[blade_id].last_op_steps)
+        alloc = self._blades[blade_id]
+        result = alloc.allocate_at(base, length)
+        self.last_cost_us = self._cost(alloc.last_op_steps)
+        self._rebank(blade_id)
         return result
 
     def free(self, blade_id: int, va_base: int) -> int:
         alloc = self._blades[blade_id]
         length = alloc.free(va_base)
         self.last_cost_us = self._cost(alloc.last_op_steps)
+        self._rebank(blade_id)
         return length
 
     def jain_fairness(self) -> float:
@@ -243,7 +227,7 @@ class GlobalAllocator:
             "free": float(sum(a.free_bytes for a in blades)),
             "waste": float(sum(a.waste_bytes for a in blades)),
             "largest_hole": float(sum(a.largest_hole for a in blades)),
-            "metadata": float(self._metadata_total),
+            "metadata": float(sum(self._metadata.values())),
             "steps": float(sum(a.total_steps for a in blades)),
             "ops": float(sum(a.total_ops for a in blades)),
             "enomem": float(self.enomem_count),

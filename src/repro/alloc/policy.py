@@ -14,9 +14,7 @@ plane:
 - fragmentation reporting: external (how shattered the free space is) and
   internal (padding overhead over the bytes the caller asked for);
 - a metadata footprint in bytes, banked against the switch CPU's SRAM
-  budget by the global allocator;
-- a mutation hook so the global allocator can maintain its least-allocated
-  blade ordering incrementally instead of re-sorting on every allocation.
+  budget by the global allocator.
 
 Every policy is deterministic: identical call sequences produce identical
 placements, step counts and telemetry, which is what keeps allocator-axis
@@ -26,7 +24,7 @@ sweeps byte-identical at any ``--jobs``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, ClassVar, Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
 
 from ..sim.network import PAGE_SIZE
 
@@ -67,8 +65,7 @@ class AllocatorPolicy(ABC):
     (each returning the deterministic *step count* of the operation) plus the
     ``largest_hole`` and ``metadata_bytes`` views; the base class owns the
     shared bookkeeping: the live-allocation map, running byte counters,
-    requested-byte tracking for internal fragmentation, step totals, and the
-    mutation hook.
+    requested-byte tracking for internal fragmentation, and step totals.
     """
 
     #: registry key; also recorded in fail-over snapshots.
@@ -89,10 +86,6 @@ class AllocatorPolicy(ABC):
         self.last_op_steps = 0
         self.total_steps = 0
         self.total_ops = 0
-        #: installed by the global allocator; fires after every mutation so
-        #: the least-allocated ordering and the SRAM bank stay fresh even
-        #: when callers (migration, tests) mutate a blade directly.
-        self._on_mutate: Optional[Callable[[], None]] = None
 
     # -- padding policy (class-level: the global allocator pads before
     # -- choosing a blade, so padding cannot depend on instance state) ----
@@ -173,8 +166,6 @@ class AllocatorPolicy(ABC):
         self.last_op_steps = steps
         self.total_steps += steps
         self.total_ops += 1
-        if self._on_mutate is not None:
-            self._on_mutate()
 
     # -- policy internals --------------------------------------------------
 

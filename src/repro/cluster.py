@@ -193,9 +193,10 @@ class MindCluster:
     # -- fault injection -------------------------------------------------------
 
     def enable_failover(self, config=None):
-        """Arm the Section 4.4 fail-over path: replicate the control plane
-        on the metadata path and stand a backup switch by.  Idempotent;
-        returns the :class:`~repro.faults.failover.FailoverOrchestrator`."""
+        """Arm the Section 4.4 fail-over path: stand a backup switch by
+        that installs the replicated control plane when the primary
+        crashes.  Idempotent; returns the
+        :class:`~repro.faults.failover.FailoverOrchestrator`."""
         if self._failover is None:
             from .faults.failover import FailoverOrchestrator
 

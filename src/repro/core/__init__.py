@@ -28,9 +28,9 @@ from .directory import (
     RegionDirectory,
 )
 from .failures import (
-    ControlPlaneReplicator,
     ControlPlaneSnapshot,
     RebuiltDataPlane,
+    capture_control_plane,
     rebuild_data_plane,
 )
 from .fetch import DataPath
@@ -65,7 +65,6 @@ __all__ = [
     "COMPUTE_BLADE_GROUP",
     "CoherenceProtocol",
     "CoherenceState",
-    "ControlPlaneReplicator",
     "ControlPlaneSnapshot",
     "DataPath",
     "DirectoryFullError",
@@ -100,6 +99,7 @@ __all__ = [
     "build_mesi_stt",
     "build_moesi_stt",
     "build_msi_stt",
+    "capture_control_plane",
     "pack_key",
     "rebuild_data_plane",
     "round_up_pow2",

@@ -88,21 +88,6 @@ class SwitchController:
         self._next_pid = 1000
         self._next_tid = 1
         self._rr_cursor = 0
-        #: bumped on every metadata mutation; the replication layer uses it.
-        self.version = 0
-        #: MIND replicates control-plane state on the metadata path
-        #: (Section 4.4): the listener fires after every metadata mutation
-        #: so a backup switch can recapture synchronously.
-        self._on_metadata_change = None
-
-    def set_metadata_listener(self, fn: Optional[Callable[[], None]]) -> None:
-        """Install the replication hook invoked after metadata mutations."""
-        self._on_metadata_change = fn
-
-    def _bump_version(self) -> None:
-        self.version += 1
-        if self._on_metadata_change is not None:
-            self._on_metadata_change()
 
     def _charge_alloc(self) -> None:
         """Charge the last allocator operation's modeled cost on the control
@@ -150,7 +135,6 @@ class SwitchController:
         self._next_pid += 1
         task = TaskStruct(pid=pid, name=name)
         self._tasks[pid] = task
-        self._bump_version()
         return task
 
     def sys_exit(self, pid: int) -> None:
@@ -161,7 +145,6 @@ class SwitchController:
         task.alive = False
         task.threads.clear()
         del self._tasks[pid]
-        self._bump_version()
         self.control_cpu.syscalls_handled += 1
 
     def place_thread(self, pid: int) -> ThreadInfo:
@@ -174,7 +157,6 @@ class SwitchController:
         thread = ThreadInfo(tid=self._next_tid, blade_id=blade_id)
         self._next_tid += 1
         task.threads.append(thread)
-        self._bump_version()
         return thread
 
     def task(self, pid: int) -> TaskStruct:
@@ -223,7 +205,6 @@ class SwitchController:
             self._charge_alloc()
             raise SyscallError(errno.ENOMEM, str(exc)) from exc
         task.vmas[vma.base] = (vma, placement.blade_id)
-        self._bump_version()
         return vma.base
 
     def sys_munmap(self, pid: int, va_base: int) -> None:
@@ -257,7 +238,6 @@ class SwitchController:
             pass
         else:
             self._charge_alloc()
-        self._bump_version()
 
     def sys_brk(self, pid: int, increment: int) -> int:
         """Grow the heap; modelled as an mmap-backed growable segment."""
@@ -291,7 +271,6 @@ class SwitchController:
         if self._flush_cached_range is not None:
             self._flush_cached_range(vma.base, vma.length)
         self._drop_directory_range(vma.base, vma.length)
-        self._bump_version()
 
     def grant_domain(
         self, pid: int, va_base: int, pdid: int, perm: PermissionClass
@@ -304,7 +283,6 @@ class SwitchController:
             raise SyscallError(errno.EINVAL, f"no vma at {va_base:#x}")
         vma, _blade = entry
         self.protection.grant(pdid, Vma(vma.base, vma.length, pdid, perm), perm)
-        self._bump_version()
 
     def revoke_domain(self, pid: int, va_base: int, pdid: int) -> None:
         task = self._task(pid)
@@ -315,7 +293,6 @@ class SwitchController:
         if entry is not None and self._revoke_domain_range is not None:
             vma, _blade = entry
             self._revoke_domain_range(pdid, vma.base, vma.length)
-        self._bump_version()
 
     # -- helpers -----------------------------------------------------------------
 

@@ -1,9 +1,17 @@
-"""Switch fail-over: control-plane replication and data-plane rebuild.
+"""Switch fail-over: control-plane capture and data-plane rebuild.
 
 Section 4.4: MIND consistently replicates the control plane at a backup
 switch; on a switch failure, the *data-plane* state is reconstructed from
 the replicated control-plane state.  Control-plane state only changes on
-metadata operations (syscalls), so replication is cheap.
+metadata operations (syscalls, migrations), so replication is cheap.
+
+The simulation does not keep a second copy: the replica always equals the
+live control plane, so :func:`capture_control_plane` reads it when a crash
+needs it.  The snapshot holds exactly what the backup installs -- the
+translation entries as installed (blade ranges at their VA bases, the
+outlier routes page migration added), the protection grants, and every
+live allocation -- so two captures are equal iff the backup would program
+the same tables.
 
 The directory is deliberately *not* replicated: after fail-over every
 region starts Invalid and compute blades re-fault, exactly as cold caches
@@ -18,7 +26,7 @@ fault-tolerance to prior work.)
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..alloc import AllocCostModel, GlobalAllocator
 from ..switchsim.sram import RegisterArray
@@ -34,74 +42,60 @@ from .vma import PermissionClass, Vma
 class ControlPlaneSnapshot:
     """Everything needed to rebuild the data plane on a backup switch."""
 
-    version: int
-    #: (pid, name)
-    tasks: List[Tuple[int, str]]
-    #: (pid, vma base, vma length, pdid, perm, memory blade id)
-    vmas: List[Tuple[int, int, int, int, PermissionClass, int]]
+    #: base of this switch's slice of the global VA space (every rack but
+    #: rack 0 of a multi-rack fabric starts above 0).
+    base_va: int
+    blade_capacity: int
+    #: (memory blade id, VA base) of each blade-range translation entry,
+    #: in install order.  A retired blade has none.
+    blade_ranges: List[Tuple[int, int]]
+    #: (VA base, size, memory blade id, PA base) of each outlier route
+    #: page migration installed, in install order.
+    outliers: List[Tuple[int, int, int, int]]
     #: every protection grant, including capability-style ``grant_domain``
     #: entries whose pdid is not any task's pid: (pdid, base, length, perm).
     #: Task vma lists alone miss them -- a rebuild that dropped session
     #: domains would segfault every multi-tenant server after fail-over.
     grants: List[Tuple[int, int, int, PermissionClass]]
-    #: memory blade ids in VA-partition order.
-    blade_order: List[int]
-    blade_capacity: int
+    #: (base, length, memory blade id) of every live allocation on every
+    #: registered blade, migration shadows included, in ascending-base
+    #: order -- the order frontier-style policies (slab/arena/bump) can
+    #: replay without claiming ranges behind their frontier.
+    allocations: List[Tuple[int, int, int]]
     #: Bounded Splitting policy state: the backup's directory must keep the
     #: primary's region-size bounds, or a fail-over silently changes
     #: splitting behaviour (region granularity, merge ceilings).
-    initial_region_size: int = 16 * 1024
-    max_region_size: int = 2 * 1024 * 1024
+    initial_region_size: int
+    max_region_size: int
     #: allocator-policy axis state: the backup must rebuild with the same
     #: policy (and cost modeling) or post-fail-over placement diverges.
-    allocator_policy: str = "first-fit"
-    allocator_modeled: bool = False
+    allocator_policy: str
+    allocator_modeled: bool
 
 
-class ControlPlaneReplicator:
-    """Keeps a backup switch's control-plane state consistent.
-
-    ``capture`` must be called after metadata operations (MIND replicates
-    on the metadata path); ``stale`` tells whether the backup lags.
-    """
-
-    def __init__(self, controller: SwitchController):
-        self.controller = controller
-        self._snapshot: ControlPlaneSnapshot = self.capture()
-
-    def capture(self) -> ControlPlaneSnapshot:
-        ctl = self.controller
-        tasks = [(t.pid, t.name) for t in ctl.tasks()]
-        vmas = [
-            (task.pid, vma.base, vma.length, vma.pdid, vma.perm, blade_id)
-            for task in ctl.tasks()
-            for vma, blade_id in task.vmas.values()
-        ]
-        grants = [
+def capture_control_plane(controller: SwitchController) -> ControlPlaneSnapshot:
+    """The control-plane state a backup switch installs, read now."""
+    space = controller.address_space
+    allocator = controller.allocator
+    return ControlPlaneSnapshot(
+        base_va=space.base_va,
+        blade_capacity=space.blade_capacity,
+        blade_ranges=space.blade_ranges(),
+        outliers=space.outliers(),
+        grants=[
             (pdid, vma.base, vma.length, perm)
-            for pdid, vma, perm in ctl.protection.grants()
-        ]
-        snapshot = ControlPlaneSnapshot(
-            version=ctl.version,
-            tasks=tasks,
-            vmas=sorted(vmas),
-            grants=grants,
-            blade_order=ctl.allocator.blade_ids,
-            blade_capacity=ctl.address_space.blade_capacity,
-            initial_region_size=ctl.directory.initial_region_size,
-            max_region_size=ctl.directory.max_region_size,
-            allocator_policy=ctl.allocator.policy_name,
-            allocator_modeled=ctl.allocator.modeled,
-        )
-        self._snapshot = snapshot
-        return snapshot
-
-    @property
-    def snapshot(self) -> ControlPlaneSnapshot:
-        return self._snapshot
-
-    def stale(self) -> bool:
-        return self._snapshot.version != self.controller.version
+            for pdid, vma, perm in controller.protection.grants()
+        ],
+        allocations=sorted(
+            (base, length, blade_id)
+            for blade_id in allocator.blade_ids
+            for base, length in allocator.blade(blade_id).live_allocations().items()
+        ),
+        initial_region_size=controller.directory.initial_region_size,
+        max_region_size=controller.directory.max_region_size,
+        allocator_policy=allocator.policy_name,
+        allocator_modeled=allocator.modeled,
+    )
 
 
 @dataclass
@@ -119,46 +113,34 @@ def rebuild_data_plane(
     xlate_tcam: Tcam,
     protection_tcam: Tcam,
     directory_sram: RegisterArray,
-    initial_region_size: Optional[int] = None,
-    max_region_size: Optional[int] = None,
 ) -> RebuiltDataPlane:
     """Program a backup switch's tables from a control-plane snapshot.
 
     Translation entries and protection entries are reinstalled exactly;
     allocator occupancy is replayed so future allocations stay balanced;
-    the directory starts empty (all-Invalid), to be re-populated by faults.
-    Region-size bounds default to the *snapshot's* (the primary's policy);
-    explicit overrides are for tests only -- a real fail-over must not
-    change bounded-splitting behaviour.
+    the directory starts empty (all-Invalid), to be re-populated by faults,
+    under the primary's region-size bounds.
     """
-    if initial_region_size is None:
-        initial_region_size = snapshot.initial_region_size
-    if max_region_size is None:
-        max_region_size = snapshot.max_region_size
-    address_space = AddressSpace(xlate_tcam, snapshot.blade_capacity)
+    address_space = AddressSpace(
+        xlate_tcam, snapshot.blade_capacity, base_va=snapshot.base_va
+    )
     allocator = GlobalAllocator(
         policy=snapshot.allocator_policy,
         cost_model=AllocCostModel() if snapshot.allocator_modeled else None,
     )
-    for blade_id in snapshot.blade_order:
-        va_base = address_space.add_blade(blade_id)
+    for blade_id, va_base in snapshot.blade_ranges:
+        address_space.add_blade(blade_id, va_base)
         allocator.add_blade(blade_id, va_base, snapshot.blade_capacity)
+    for va_base, size, blade_id, pa_base in snapshot.outliers:
+        address_space.add_outlier(va_base, size, blade_id, pa_base)
     protection = ProtectionTable(protection_tcam)
-    # Permissions come from the replicated grant list -- the task vma list
-    # alone would silently drop capability-style session domains.
     for pdid, base, length, perm in snapshot.grants:
         protection.grant(pdid, Vma(base, length, pdid, perm), perm)
-    # Replay each allocation at its original address.  Ascending-base order
-    # (not the snapshot's pid-major order) so frontier-style policies
-    # (slab/arena/bump) rebuild without claiming ranges behind their
-    # frontier; first-fit hole structure is order-independent.
-    for _pid, base, length, _pdid, _perm, blade_id in sorted(
-        snapshot.vmas, key=lambda entry: entry[1]
-    ):
+    for base, length, blade_id in snapshot.allocations:
         allocator.allocate_at(blade_id, base, length)
     directory = RegionDirectory(
         directory_sram,
-        initial_region_size=initial_region_size,
-        max_region_size=max_region_size,
+        initial_region_size=snapshot.initial_region_size,
+        max_region_size=snapshot.max_region_size,
     )
     return RebuiltDataPlane(address_space, protection, directory, allocator)

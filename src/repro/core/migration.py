@@ -99,7 +99,7 @@ class MigrationManager:
         # Reserve physical space on the destination via a shadow allocation.
         dst_base_va = self.address_space.blade_va_base(dst_blade)
         try:
-            shadow = self.allocator.blade(dst_blade).allocate(length, alignment=length)
+            shadow = self.allocator.allocate_on(dst_blade, length, alignment=length)
         except OutOfMemoryError as exc:
             raise MigrationError(f"destination blade {dst_blade} full") from exc
         dst_pa = shadow - dst_base_va
@@ -121,7 +121,7 @@ class MigrationManager:
         if prior is not None:
             self.address_space.remove_outlier(prior.va_base, prior.length)
             try:
-                self.allocator.blade(prior.dst_blade).free(prior.dst_shadow_va)
+                self.allocator.free(prior.dst_blade, prior.dst_shadow_va)
             except KeyError:
                 pass  # the prior destination blade has been retired
         self.address_space.add_outlier(va_base, length, dst_blade, dst_pa)
@@ -151,7 +151,7 @@ class MigrationManager:
         if record is None:
             return
         self.address_space.remove_outlier(record.va_base, record.length)
-        self.allocator.blade(record.dst_blade).free(record.dst_shadow_va)
+        self.allocator.free(record.dst_blade, record.dst_shadow_va)
 
     def _quiesce(self, va_base: int, length: int) -> Generator:
         """Invalidate + flush the range everywhere; reset directory state."""

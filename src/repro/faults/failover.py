@@ -1,21 +1,24 @@
 """In-simulation switch fail-over (Section 4.4), end to end.
 
-The static pieces already exist -- :class:`ControlPlaneReplicator` keeps a
-backup-consistent snapshot, :func:`rebuild_data_plane` reprograms tables
-from it.  This module wires them into a *running* cluster:
+The static pieces already exist -- :func:`capture_control_plane` reads the
+state a backup switch replicates, :func:`rebuild_data_plane` reprograms
+tables from it.  This module wires them into a *running* cluster:
 
-1. The replicator re-captures on every metadata mutation (MIND replicates
-   on the metadata path; syscalls block on it, so the backup never lags).
-2. On a crash, the coherence engine's gate closes: new fault transactions
+1. On a crash, the coherence engine's gate closes: new fault transactions
    queue, experiencing the unavailability window as added latency.
-3. After a modelled detection delay, the backup switch's tables are
-   programmed from the snapshot (cost proportional to the rule count) and
-   every component is repointed at the rebuilt plane.  The directory comes
-   up all-Invalid -- it is deliberately not replicated.
-4. Compute blades are quiesced: a full-range invalidation flushes every
+2. After a modelled detection delay, the backup switch's tables are
+   programmed from the replicated control plane (cost proportional to the
+   rule count).  MIND replicates on the metadata path, so the replica
+   equals the live control plane and is captured at this point.  If
+   metadata changes during the install so that a fresh capture differs
+   from what was installed, the backup re-installs from the fresh one (a
+   catch-up rebuild) until they match.  Every component is then repointed
+   at the rebuilt plane.  The directory comes up all-Invalid -- it is
+   deliberately not replicated.
+3. Compute blades are quiesced: a full-range invalidation flushes every
    dirty page through the new plane, so memory blades hold the ground
    truth and the empty directory is *coherent* with blade caches (cold).
-5. The gate opens.  Transactions that were in flight on the dead switch
+4. The gate opens.  Transactions that were in flight on the dead switch
    come back ``stale`` and are re-issued by the blades; re-faults re-warm
    the directory (the re-fault storm the availability report quantifies).
 """
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
-from ..core.failures import ControlPlaneReplicator, rebuild_data_plane
+from ..core.failures import capture_control_plane, rebuild_data_plane
 from ..switchsim.packets import InvalidationRequest
 from ..switchsim.sram import RegisterArray
 from ..switchsim.tcam import Tcam
@@ -57,18 +60,11 @@ class FailoverOrchestrator:
         self.config = config or FailoverConfig()
         self.engine = cluster.engine
         self.mmu = cluster.mmu
-        self.replicator = ControlPlaneReplicator(self.mmu.controller)
-        # Re-capture on the metadata path: the snapshot is never stale when
-        # the crash comes (the paper's consistent-replication guarantee).
-        self.mmu.controller.set_metadata_listener(self._on_metadata_change)
         self.mmu.coherence.phase_tracking = True
         self.mmu.coherence.set_phase("pre")
         self.crashes = 0
         #: completed outage windows as (start_us, end_us).
         self.outage_windows: List[Tuple[float, float]] = []
-
-    def _on_metadata_change(self) -> None:
-        self.replicator.capture()
 
     # -- scheduling --------------------------------------------------------
 
@@ -103,27 +99,17 @@ class FailoverOrchestrator:
 
         # Program the backup's physical tables from the replicated
         # control-plane state.  Install cost scales with the rule count.
+        # Metadata can change while the install is in flight (a live
+        # mmap/mprotect syscall); adopting tables that miss it would drop
+        # the newer translation/protection entries.  Catch up: re-install
+        # from a fresh capture, paying another install pass, until the
+        # capture matches the tables just installed.
         cfg = self.mmu.config
         protection_budget = int(cfg.match_action_capacity * cfg.protection_share)
         translation_budget = cfg.match_action_capacity - protection_budget
-        snapshot = self.replicator.snapshot
-        xlate_tcam = Tcam(translation_budget, name="translation")
-        protection_tcam = Tcam(protection_budget, name="protection")
-        directory_sram = RegisterArray(cfg.directory_capacity, name="directory")
-        plane = rebuild_data_plane(snapshot, xlate_tcam, protection_tcam, directory_sram)
-        rules_installed = len(xlate_tcam) + len(protection_tcam)
-        yield self.config.rebuild_base_us + rules_installed * self.config.rule_install_us
-        stats.incr("failover_rules_installed", rules_installed)
-
-        # Metadata can mutate while the rebuild install is in flight -- an
-        # autoscaler placing a thread, a live mmap/mprotect syscall.  Those
-        # mutations re-captured the replicated snapshot, but the tables we
-        # just programmed came from the older one; adopting them would
-        # silently drop the newer translation/protection entries.  Catch
-        # up: rebuild from the latest snapshot (paying another install
-        # pass) until no mutation raced the install.
-        while self.replicator.snapshot.version != snapshot.version:
-            snapshot = self.replicator.snapshot
+        controller = self.mmu.controller
+        snapshot = capture_control_plane(controller)
+        while True:
             xlate_tcam = Tcam(translation_budget, name="translation")
             protection_tcam = Tcam(protection_budget, name="protection")
             directory_sram = RegisterArray(cfg.directory_capacity, name="directory")
@@ -131,12 +117,16 @@ class FailoverOrchestrator:
                 snapshot, xlate_tcam, protection_tcam, directory_sram
             )
             rules_installed = len(xlate_tcam) + len(protection_tcam)
-            stats.incr("failover_catchup_rebuilds")
-            stats.incr("failover_rules_installed", rules_installed)
             yield (
                 self.config.rebuild_base_us
                 + rules_installed * self.config.rule_install_us
             )
+            stats.incr("failover_rules_installed", rules_installed)
+            latest = capture_control_plane(controller)
+            if latest == snapshot:
+                break
+            snapshot = latest
+            stats.incr("failover_catchup_rebuilds")
 
         self.mmu.adopt_data_plane(plane, xlate_tcam, protection_tcam, directory_sram)
 

@@ -6,9 +6,9 @@ consecutive readings above/below the thresholds -- plus a cooldown -- it
 adds or retires one slot.  Scale-up is *not* instantaneous: the new
 serving thread takes ``slot_bringup_us`` to come up (thread placement on
 a possibly-new blade, cache warm-up), modelling the window where demand
-has already arrived but capacity hasn't.  Thread placement is a
-control-plane metadata mutation, so a scale-up racing a switch fail-over
-exercises the replicator catch-up path.
+has already arrived but capacity hasn't.  Thread placement changes no
+switch table, so a scale-up racing a switch fail-over's table install
+costs the backup no catch-up rebuild.
 
 Everything is a pure function of simulated time and queue state -- no
 randomness -- so scaling decisions are byte-identical across reruns.
@@ -95,8 +95,8 @@ class Autoscaler:
 
     def _bring_up(self) -> Generator:
         yield self.config.slot_bringup_us
-        # Metadata mutation: may race an in-flight fail-over rebuild, in
-        # which case the replicator's version bump forces a catch-up pass.
+        # May race an in-flight fail-over table install; placing a thread
+        # changes no table, so the install needs no catch-up pass.
         thread = self.process.spawn_thread()
         self.pool.add_slot(thread)
         self._pending_adds -= 1

@@ -1,5 +1,6 @@
-"""GlobalAllocator: incremental ordering, cost accounting, SRAM banking."""
+"""GlobalAllocator: placement order, cost accounting, SRAM banking."""
 
+import copy
 import random
 
 import pytest
@@ -13,59 +14,101 @@ from repro.alloc import (
 from repro.sim.network import PAGE_SIZE
 from repro.switchsim.sram import MetadataSram
 
+from conftest import small_cluster
+
 BLADE_SIZE = 1 << 22
 
 
-def make_global(policy="first-fit", blades=4, **kw):
+def make_global(policy="first-fit", blades=4, blade_size=BLADE_SIZE, **kw):
     galloc = GlobalAllocator(policy=policy, **kw)
     for b in range(blades):
-        galloc.add_blade(b, b << 30, BLADE_SIZE)
+        galloc.add_blade(b, b << 30, blade_size)
     return galloc
 
 
 def brute_force_order(galloc):
-    return sorted(
-        (galloc.blade(b).allocated_bytes, b) for b in galloc.blade_ids
-    )
+    """Blade ids by ``(allocated_bytes, blade_id)``, read from outside."""
+    loads = galloc.allocated_per_blade()
+    return sorted(loads, key=lambda b: (loads[b], b))
+
+
+def fits(policy, length):
+    """Whether ``policy`` could place a ``length``-byte request now."""
+    trial = copy.deepcopy(policy)
+    padded = trial.padded_size(length)
+    try:
+        trial.allocate(padded, trial.alignment_for(padded), requested=length)
+    except OutOfMemoryError:
+        return False
+    return True
 
 
 class TestIncrementalOrdering:
     @pytest.mark.parametrize("policy", ["first-fit", "slab", "buddy"])
     def test_order_matches_brute_force_under_churn(self, policy):
-        galloc = make_global(policy)
+        """Every allocation lands on the first blade, in brute-force
+        order as read before the call, that can fit it."""
+        galloc = make_global(policy, blade_size=1 << 20)
         rng = random.Random(7)
         live = []
+        skipped_ahead = 0
         for _ in range(400):
             if live and rng.random() < 0.4:
                 bid, base = live.pop(rng.randrange(len(live)))
                 galloc.free(bid, base)
-            else:
-                try:
-                    p = galloc.allocate(rng.randrange(300, 100_000))
-                except OutOfMemoryError:
-                    continue
-                live.append((p.blade_id, p.va_base))
-            assert galloc._order == brute_force_order(galloc)
+                continue
+            length = rng.randrange(300, 100_000)
+            order = brute_force_order(galloc)
+            fitting = [b for b in order if fits(galloc.blade(b), length)]
+            try:
+                p = galloc.allocate(length)
+            except OutOfMemoryError:
+                assert not fitting
+                continue
+            assert p.blade_id == fitting[0]
+            skipped_ahead += fitting[0] != order[0]
+            live.append((p.blade_id, p.va_base))
+        # The churn filled blades, so some placements probed past the
+        # least-allocated blade.
+        assert skipped_ahead > 0
 
-    def test_direct_blade_mutation_keeps_order_fresh(self):
-        """Migration mutates blades directly; the hook must still fire."""
-        galloc = make_global()
-        blade = galloc.blade(2)
-        blade.allocate(4 * PAGE_SIZE, 4 * PAGE_SIZE)
-        assert galloc._order == brute_force_order(galloc)
-        # The least-allocated choice must now avoid blade 2.
-        assert galloc.allocate(PAGE_SIZE).blade_id != 2
+    def test_migration_shadow_counts_in_placement_and_sram(self):
+        cluster = small_cluster(num_compute=2, num_memory=2, allocator="slab")
+        mmu, ctl = cluster.mmu, cluster.controller
+        task = ctl.sys_exec("app")
+        big = ctl.sys_mmap(task.pid, 4 * PAGE_SIZE)
+        small = ctl.sys_mmap(task.pid, PAGE_SIZE)
+        src = mmu.address_space.translate(big).blade_id
+        dst = mmu.address_space.translate(small).blade_id
+        assert src != dst
+        record = cluster.run_process(
+            mmu.migration.migrate_range(big, 4 * PAGE_SIZE, dst)
+        )
+        assert record.dst_shadow_va in mmu.allocator.blade(dst).live_allocations()
+        # The shadow's metadata is banked like any other allocation's.
+        galloc = mmu.allocator
+        footprint = sum(galloc.blade(b).metadata_bytes() for b in galloc.blade_ids)
+        assert mmu.alloc_metadata_sram.used == footprint
+        # The destination now holds the small vma plus the 4-page shadow,
+        # more than the source's 4-page range, so placement avoids it.
+        loads = mmu.allocator.allocated_per_blade()
+        assert loads[dst] > loads[src]
+        base = ctl.sys_mmap(task.pid, PAGE_SIZE)
+        assert mmu.address_space.translate(base).blade_id == src
 
     def test_allocate_at_keeps_order_fresh(self):
         galloc = make_global()
         galloc.allocate_at(1, (1 << 30) + PAGE_SIZE, PAGE_SIZE)
-        assert galloc._order == brute_force_order(galloc)
+        assert brute_force_order(galloc) == [0, 2, 3, 1]
+        placed = [galloc.allocate(PAGE_SIZE).blade_id for _ in range(3)]
+        assert placed == [0, 2, 3]
 
     def test_remove_blade_drops_from_order(self):
         galloc = make_global()
         galloc.remove_blade(1)
         assert galloc.blade_ids == [0, 2, 3]
-        assert galloc._order == brute_force_order(galloc)
+        placed = {galloc.allocate(PAGE_SIZE).blade_id for _ in range(6)}
+        assert placed == {0, 2, 3}
 
     def test_duplicate_blade_rejected(self):
         galloc = make_global()

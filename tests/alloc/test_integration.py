@@ -5,7 +5,7 @@ import warnings
 import pytest
 
 from repro.cluster import ClusterConfig, MindCluster
-from repro.core.failures import ControlPlaneReplicator, rebuild_data_plane
+from repro.core.failures import capture_control_plane, rebuild_data_plane
 from repro.core.mmu import MindConfig
 from repro.sim.network import PAGE_SIZE
 from repro.switchsim.sram import RegisterArray
@@ -74,9 +74,8 @@ class TestFailoverReplay:
             ctl.sys_mmap(task.pid, (i + 1) * PAGE_SIZE) for i in range(6)
         ]
         ctl.sys_munmap(task.pid, bases[2])
-        snapshot = ControlPlaneReplicator(ctl).capture()
         plane = rebuild_data_plane(
-            snapshot,
+            capture_control_plane(ctl),
             xlate_tcam=Tcam(1024, name="backup-xlate"),
             protection_tcam=Tcam(1024, name="backup-prot"),
             directory_sram=RegisterArray(256, name="backup-dir"),

@@ -194,15 +194,6 @@ class TestProtectionDomains:
         assert prot.check(200, s1, AccessType.READ) is PacketVerdict.REJECT_NO_ENTRY
 
 
-class TestVersioning:
-    def test_metadata_ops_bump_version(self, ctl):
-        v0 = ctl.version
-        task = ctl.sys_exec("a")
-        base = ctl.sys_mmap(task.pid, PAGE_SIZE)
-        ctl.sys_munmap(task.pid, base)
-        assert ctl.version >= v0 + 3
-
-
 class TestFullProtectionTable:
     """Syscalls at a full protection table answer ``ENOMEM`` and leave
     every piece of state as it was."""

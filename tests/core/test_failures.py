@@ -1,8 +1,8 @@
-"""Tests for switch fail-over: replication and data-plane rebuild."""
+"""Tests for switch fail-over: control-plane capture and data-plane rebuild."""
 
 import pytest
 
-from repro.core.failures import ControlPlaneReplicator, rebuild_data_plane
+from repro.core.failures import capture_control_plane, rebuild_data_plane
 from repro.core.vma import PermissionClass
 from repro.sim.network import PAGE_SIZE
 from repro.switchsim.packets import AccessType, PacketVerdict
@@ -23,10 +23,8 @@ def populated():
 
 
 def rebuild(cluster):
-    replicator = ControlPlaneReplicator(cluster.controller)
-    snapshot = replicator.capture()
     return rebuild_data_plane(
-        snapshot,
+        capture_control_plane(cluster.controller),
         xlate_tcam=Tcam(1024, name="backup-xlate"),
         protection_tcam=Tcam(1024, name="backup-prot"),
         directory_sram=RegisterArray(256, name="backup-dir"),
@@ -36,18 +34,24 @@ def rebuild(cluster):
 class TestReplication:
     def test_snapshot_captures_vmas(self, populated):
         cluster, task, bases, ro = populated
-        snap = ControlPlaneReplicator(cluster.controller).capture()
-        assert len(snap.vmas) == 4
-        assert {v[1] for v in snap.vmas} == set(bases) | {ro}
+        snap = capture_control_plane(cluster.controller)
+        assert len(snap.allocations) == 4
+        assert {base for base, _length, _blade in snap.allocations} == set(bases) | {ro}
 
     def test_staleness_detection(self, populated):
+        # A capture changes exactly when the tables a backup installs would:
+        # placing a thread touches none of them, an mmap adds an allocation
+        # and a protection grant.
         cluster, task, _bases, _ro = populated
-        replicator = ControlPlaneReplicator(cluster.controller)
-        assert not replicator.stale()
-        cluster.controller.sys_mmap(task.pid, PAGE_SIZE)
-        assert replicator.stale()
-        replicator.capture()
-        assert not replicator.stale()
+        ctl = cluster.controller
+        before = capture_control_plane(ctl)
+        ctl.place_thread(task.pid)
+        assert capture_control_plane(ctl) == before
+        ctl.sys_mmap(task.pid, PAGE_SIZE)
+        after = capture_control_plane(ctl)
+        assert after != before
+        assert len(after.allocations) == len(before.allocations) + 1
+        assert len(after.grants) == len(before.grants) + 1
 
 
 class TestRebuild:

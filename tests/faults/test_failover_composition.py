@@ -3,8 +3,9 @@
 Regression tests for two composition gaps:
 
 * metadata that mutates *while* the backup switch installs its tables
-  (an elastic pool placing a thread, a live mmap) must trigger a
-  catch-up rebuild instead of being silently dropped;
+  (a live mmap) must trigger a catch-up rebuild instead of being silently
+  dropped -- and a mutation that changes no table (an elastic pool placing
+  a thread) must not pay for one;
 * capability-style ``grant_domain`` sessions must survive the rebuild --
   the replicated snapshot has to carry the full protection grant list,
   not just each task's own vmas.
@@ -42,7 +43,30 @@ class TestCatchupRebuild:
         system.run_concurrently([mutate(), touch()])
         stats = system.stats
         assert stats.counter("failover_rules_installed") > 0
-        assert stats.counter("failover_catchup_rebuilds") >= 1
+        assert stats.counter("failover_catchup_rebuilds") == 1
+
+    def test_thread_placement_during_rebuild_needs_no_catchup(self):
+        system = MindSystem(num_compute_blades=2)
+        proc = system.spawn_process("srv")
+        base = proc.mmap(PAGE_SIZE * 8)
+        system.inject_faults(crash_plan(at_us=1_000.0))
+        thread = proc.spawn_thread()
+        placed = []
+
+        def place():
+            # Inside the install window, as in the mmap case above.
+            yield 1_600.0
+            placed.append(proc.spawn_thread())
+
+        def touch():
+            yield from thread.store_gen(base, b"before")
+            yield 6_000.0
+            yield from placed[0].store_gen(base + PAGE_SIZE, b"after")
+
+        system.run_concurrently([place(), touch()])
+        stats = system.stats
+        assert stats.counter("failovers_completed") == 1
+        assert stats.counter("failover_catchup_rebuilds") == 0
 
     def test_quiet_rebuild_needs_no_catchup(self):
         system = MindSystem(num_compute_blades=2)

@@ -110,3 +110,24 @@ class TestRackFailover:
         fabric, _pdid, _buf0, _buf1 = rig
         for r, node in enumerate(fabric.topology.racks):
             assert node.cluster.quiesce_range == fabric.shard.rack_range(r)
+
+    def test_rack_above_zero_rebuilds_its_own_va_slice(self, rig):
+        # Rack 1's switch owns a slice of the global VA space that does not
+        # start at 0: the rebuilt translation table must keep each blade
+        # range at its installed base, or replaying the rack's allocations
+        # collides with ranges the backup never installed.
+        fabric, pdid, _buf0, buf1 = rig
+        b2 = fabric.compute_blades[2]  # rack 1 blade
+        fabric.run_process(b2.store_bytes(pdid, buf1, b"rack-one"))
+        mmu = fabric.racks[1]
+        before = mmu.allocator.allocated_per_blade()
+        orch = fabric.enable_rack_failover(1, FailoverConfig(**QUICK_FAILOVER))
+        orch.crash_at(fabric.engine.now + 50.0)
+        fabric.run_all([_hammer(fabric, b2, pdid, buf1)])
+        assert orch.crashes == 1
+        assert fabric.stats.counter("failovers_completed") == 1
+        assert mmu.address_space.base_va == fabric.shard.rack_range(1)[0]
+        assert mmu.address_space.translate(buf1).blade_id in before
+        assert mmu.allocator.allocated_per_blade() == before
+        got = fabric.run_process(b2.load_bytes(pdid, buf1, 8))
+        assert got == b"rack-one"

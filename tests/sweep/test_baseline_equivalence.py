@@ -9,7 +9,10 @@ meaningful for the next kernel change.
 
 The malloc ablation baseline (``benchmarks/BENCH_alloc.json``) holds the
 same contract for the control plane: its churn points are the only ones
-that recompile protection domains at volume.
+that recompile protection domains at volume.  The serving baseline
+(``benchmarks/BENCH_service.json``, the ``kvs-service-quick`` preset) holds
+it for fail-over: its two ``chaos=crash`` points are the only sweep points
+that crash the switch and rebuild the data plane.
 """
 
 import json
@@ -61,4 +64,13 @@ def test_ci_quick_cell_matches_baseline_exactly(recorded):
     ids=lambda rec: rec["point_id"][:12],
 )
 def test_malloc_bench_point_matches_baseline_exactly(recorded):
+    _assert_replays_exactly(recorded)
+
+
+@pytest.mark.parametrize(
+    "recorded",
+    _baseline_points("BENCH_service.json"),
+    ids=lambda rec: rec["point_id"][:12],
+)
+def test_kvs_service_point_matches_baseline_exactly(recorded):
     _assert_replays_exactly(recorded)
