@@ -142,8 +142,7 @@ class TransparentDsm:
         if home_port is not node.port:
             yield from self._rtt(node.port, home_port, CONTROL_MSG_BYTES)
         handler = self._home_handler(page_va)
-        if not handler.try_acquire():
-            yield handler.acquire()
+        yield handler.acquire()
         try:
             yield HOME_HANDLER_US
             yield from self._transition(entry, node, page_va, write, home_port)

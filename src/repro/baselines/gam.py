@@ -144,8 +144,7 @@ class GamSystem:
     def access(self, blade: GamBlade, va: int, write: bool) -> Generator:
         """One GAM memory access: software check + (maybe) remote protocol."""
         # Software permission check under the library lock -- every access.
-        if not blade.lib_lock.try_acquire():
-            yield blade.lib_lock.acquire()
+        yield blade.lib_lock.acquire()
         try:
             yield SOFT_LOCK_US
         finally:
@@ -186,8 +185,7 @@ class GamSystem:
             # Requester -> home (control message).
             yield from self._rtt(blade.port, home.port, CONTROL_MSG_BYTES)
         entry = home.dir_entry(page_va)
-        if not entry.lock.try_acquire():
-            yield entry.lock.acquire()
+        yield entry.lock.acquire()
         try:
             yield from self._home_transition(home, entry, blade.blade_id, page_va, write)
         finally:
@@ -244,8 +242,7 @@ class GamSystem:
         sharer = self.blades[target]
         self.stats.incr("invalidations_sent")
         yield from self._rtt(home.port, sharer.port, CONTROL_MSG_BYTES)
-        if not sharer._inval_resource.try_acquire():
-            yield sharer._inval_resource.acquire()
+        yield sharer._inval_resource.acquire()
         try:
             yield SOFT_ACCESS_US
             victim = sharer.cache.peek(page_va)

@@ -113,10 +113,7 @@ class ComputeBlade:
             trace_cat="blade",
             track=tracer.track(f"blade{self.blade_id}") if tracer.enabled else 0,
         )
-        if self.kernel_lock.try_acquire():
-            queue_delay = 0.0
-        else:
-            queue_delay = (yield self.kernel_lock.acquire()) or 0.0
+        queue_delay = yield self.kernel_lock.acquire()
         spans.mark("queue")
         try:
             self.stats.incr("invalidations_received")
@@ -196,8 +193,7 @@ class ComputeBlade:
         try:
             # Fault entry runs a kernel mm critical section; invalidation
             # handling contends on the same lock.
-            if not self.kernel_lock.try_acquire():
-                yield self.kernel_lock.acquire()
+            yield self.kernel_lock.acquire()
             try:
                 yield self.config.fault_overhead_us
             finally:
@@ -230,8 +226,7 @@ class ComputeBlade:
                     f"{'write' if write else 'read'}: {result.verdict.value}"
                 )
             # PTE population is another short mm critical section.
-            if not self.kernel_lock.try_acquire():
-                yield self.kernel_lock.acquire()
+            yield self.kernel_lock.acquire()
             try:
                 yield PTE_FIXUP_US
                 evicted = self.cache.insert(page_va, result.data, writable=write)

@@ -138,7 +138,8 @@ class SwitchController:
         return task
 
     def sys_exit(self, pid: int) -> None:
-        """Tear down a process: free every vma and its protection entries."""
+        """Tear down a process: free every vma and every domain's
+        protection entries on it."""
         task = self._task(pid)
         for base in list(task.vmas):
             self.sys_munmap(pid, base)
@@ -208,10 +209,12 @@ class SwitchController:
         return vma.base
 
     def sys_munmap(self, pid: int, va_base: int) -> None:
-        """Free a vma: revoke protection, drop directory entries, free space.
+        """Free a vma: revoke every domain's protection on it, drop
+        directory entries, free space.
 
-        Raises ``ENOMEM``, leaving the mapping intact, when the revoke
-        splits a coalesced protection rule and the pieces do not fit.
+        Raises ``ENOMEM``, leaving the mapping and every grant intact, when
+        the revoke splits a coalesced protection rule and the pieces do not
+        fit.
         """
         task = self._task(pid)
         entry = task.vmas.get(va_base)
@@ -220,7 +223,7 @@ class SwitchController:
         vma, blade_id = entry
         self.control_cpu.syscalls_handled += 1
         try:
-            self.protection.revoke(vma.pdid, vma.base)
+            self.protection.revoke_all(vma.base)
         except TcamFullError as exc:
             raise SyscallError(errno.ENOMEM, str(exc)) from exc
         del task.vmas[va_base]

@@ -33,6 +33,9 @@ KEY_WIDTH = VA_WIDTH + PDID_WIDTH
 #: Key bits of the PDID field, matched exactly by every protection rule.
 _PDID_MASK = ((1 << PDID_WIDTH) - 1) << VA_WIDTH
 
+#: A compiled protection rule: ``(value, mask, priority, (pdid, perm))``.
+_Rule = Tuple[int, int, int, Tuple[int, PermissionClass]]
+
 
 def pack_key(pdid: int, va: int) -> int:
     """Pack ``(pdid, va)`` into a single TCAM key."""
@@ -86,7 +89,8 @@ class ProtectionTable:
             raise ValueError(
                 f"protection for pdid={pdid} vma@{vma.base:#x} already granted"
             )
-        return self._recompile_domain(pdid, {**domain, vma.base: (vma, perm)})
+        self._install({pdid: {**domain, vma.base: (vma, perm)}})
+        return len(self._rules[pdid])
 
     def grants(self) -> List[Tuple[int, Vma, PermissionClass]]:
         """The authoritative grant list, sorted: ``(pdid, vma, perm)``.
@@ -102,28 +106,67 @@ class ProtectionTable:
         ]
 
     def revoke(self, pdid: int, vma_base: int) -> None:
-        """Remove the grant for ``<pdid, vma>`` (munmap path)."""
+        """Remove the grant for ``<pdid, vma>`` (``revoke_domain`` path)."""
         domain = dict(self._grants.get(pdid, {}))
         if domain.pop(vma_base, None) is None:
             raise KeyError(f"no protection entries for pdid={pdid} @ {vma_base:#x}")
-        self._recompile_domain(pdid, domain)
+        self._install({pdid: domain})
+
+    def revoke_all(self, vma_base: int) -> None:
+        """Remove every domain's grant on the vma at ``vma_base`` -- the
+        owner's and each capability grant -- in one update (munmap path).
+
+        A grant left behind would let its domain read whoever is mapped
+        at that VA next.
+        """
+        domains = {}
+        for pdid, domain in self._grants.items():
+            if vma_base in domain:
+                kept = dict(domain)
+                del kept[vma_base]
+                domains[pdid] = kept
+        self._install(domains)
 
     def change(self, pdid: int, vma: Vma, perm: PermissionClass) -> None:
         """mprotect: replace the grant with the new permission class."""
         domain = self._grants.get(pdid, {})
         if vma.base not in domain:
             raise KeyError(f"no protection entries for pdid={pdid} @ {vma.base:#x}")
-        self._recompile_domain(pdid, {**domain, vma.base: (vma, perm)})
+        self._install({pdid: {**domain, vma.base: (vma, perm)}})
 
-    def _recompile_domain(
-        self, pdid: int, domain: Dict[int, Tuple[Vma, PermissionClass]]
-    ) -> int:
-        """Install ``domain`` as ``pdid``'s grants, compiled to coalesced
-        rules; returns the domain's rule count.
+    def _install(
+        self, domains: Dict[int, Dict[int, Tuple[Vma, PermissionClass]]]
+    ) -> None:
+        """Install each ``pdid -> grants`` of ``domains``, compiled to
+        coalesced rules, in place of those domains' rules in one TCAM
+        update.
 
         Raises :class:`TcamFullError`, changing nothing, when the rules do
         not fit beside the other domains' rules.
         """
+        old: List[TcamEntry] = []
+        rules: List[_Rule] = []
+        ends = []
+        for pdid, domain in domains.items():
+            old += self._rules.get(pdid, ())
+            rules += self._compile(pdid, domain)
+            ends.append(len(rules))
+        entries = self.tcam.replace(old, rules)
+        start = 0
+        for (pdid, domain), end in zip(domains.items(), ends):
+            if domain:
+                self._grants[pdid] = domain
+                self._rules[pdid] = entries[start:end]
+            else:
+                self._grants.pop(pdid, None)
+                self._rules.pop(pdid, None)
+            start = end
+
+    @staticmethod
+    def _compile(
+        pdid: int, domain: Dict[int, Tuple[Vma, PermissionClass]]
+    ) -> List[_Rule]:
+        """``domain``'s grants as coalesced TCAM rules."""
         # (base, end, perm) of each run of adjacent grants with equal perm.
         runs: List[Tuple[int, int, PermissionClass]] = []
         for base in sorted(domain):
@@ -133,7 +176,7 @@ class ProtectionTable:
             else:
                 runs.append((base, vma.end, perm))
         key = pack_key(pdid, 0)
-        rules: List[Tuple[int, int, int, Tuple[int, PermissionClass]]] = []
+        rules: List[_Rule] = []
         for base, end, perm in runs:
             data = (pdid, perm)
             for block, size in split_range_to_pow2(base, end - base):
@@ -141,14 +184,7 @@ class ProtectionTable:
                 shift = size.bit_length() - 1
                 mask = _PDID_MASK | prefix_mask(VA_WIDTH - shift, VA_WIDTH)
                 rules.append((key | block, mask, KEY_WIDTH - shift, data))
-        entries = self.tcam.replace(self._rules.get(pdid, ()), rules)
-        if domain:
-            self._grants[pdid] = domain
-            self._rules[pdid] = entries
-        else:
-            self._grants.pop(pdid, None)
-            self._rules.pop(pdid, None)
-        return len(entries)
+        return rules
 
     # -- data-plane check ---------------------------------------------------
 

@@ -205,10 +205,7 @@ class PendingTransactionTable:
         txn.phase = TxnPhase.ADMIT
         waited = False
         if not txn.control:
-            if self._slots.try_acquire():
-                slot_wait = 0.0
-            else:
-                slot_wait = yield self._slots.acquire()
+            slot_wait = yield self._slots.acquire()
             if slot_wait:
                 waited = True
             self.stats.incr("txn_admitted")

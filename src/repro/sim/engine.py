@@ -27,18 +27,16 @@ model" for the argument):
   the heap by the global ``(time, insertion seq)`` key, so execution order
   is exactly the order a single queue would have produced, while the
   dominant ``succeed()``-at-now traffic never pays any queue discipline.
-- A positive delay whose wake-up is provably the globally next event
-  (ready deque empty, every pending timer strictly later) advances the
-  clock in place instead of taking a round-trip through the heap.  A
-  per-resume budget (:data:`MAX_INLINE_ADVANCES`) keeps always-advancing
-  chains from starving the loop.  ``Resource.try_acquire`` and
-  ``Engine.subtask`` apply the same "nothing else is due now" guard: an
-  uncontended grant, or a spawn-and-join child, that would have run next
-  anyway is taken inline.
-- Events created by ``Resource.acquire`` and ``Engine.timeout`` are
-  recycled through a bounded freelist.  Pooled events are single-consumer
-  by contract: exactly one process yields them, and their ``.value`` must
-  be read through the ``yield`` expression, not off the event afterwards.
+- A process whose wait would end in the globally next event (ready deque
+  empty, every pending timer strictly later) continues in place instead
+  of taking a round-trip through the queue: a positive delay advances
+  the clock (*inline clock advance*), and an event that has already fired
+  resumes it with the event's value (*inline continuation*) -- which is
+  how an uncontended ``Resource.acquire()`` grant costs no event.
+  Neither carries a process past ``run(until=...)``'s limit, nor on once
+  the event ``run_until_complete`` awaits has fired.  ``Engine.subtask``
+  applies the same "nothing else is due now" guard to a spawn-and-join
+  child.
 
 Observation (:meth:`Engine.observe`) schedules nothing: the observer runs
 from the clock-advance points themselves, so an observed run dispatches
@@ -52,13 +50,6 @@ from collections import deque
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 
 from ..obs.tracer import NULL_TRACER
-
-#: consecutive inline clock advances one process may take before its
-#: wake-up goes through the timer heap (guards against unbounded chains).
-MAX_INLINE_ADVANCES = 64
-
-#: recycled events kept per engine; beyond this they fall to the GC.
-EVENT_POOL_CAPACITY = 1024
 
 _INF = float("inf")
 
@@ -74,7 +65,7 @@ class Event:
     wait on the same event; all are resumed (in wait order) when it fires.
     """
 
-    __slots__ = ("engine", "_callbacks", "triggered", "value", "_pooled")
+    __slots__ = ("engine", "_callbacks", "triggered", "value")
 
     def __init__(self, engine: "Engine"):
         self.engine = engine
@@ -83,10 +74,6 @@ class Event:
         self._callbacks: Optional[List[Callable[["Event"], None]]] = None
         self.triggered = False
         self.value: Any = None
-        #: True while the event is owned by the engine's freelist discipline
-        #: (created by ``Resource.acquire`` / ``Engine.timeout``).  Pooled
-        #: events are single-consumer: one process yields them once.
-        self._pooled = False
 
     def succeed(self, value: Any = None) -> "Event":
         """Fire the event, resuming all waiters at the current sim time."""
@@ -165,24 +152,17 @@ class Process(Event):
     def name(self) -> str:
         return self._name or f"proc-{self._seq}"
 
-    def _resume(self, _wake: Any) -> None:
+    def _resume(self, _wake: Optional[Event]) -> None:
         engine = self.engine
         send = self._gen.send
         ready = engine._ready
         limit = engine._until
-        if _wake is None:
-            value = None
-        else:
-            # Pooled events are single-consumer: the value is read here and
-            # the object is never retained, so it can be recycled at once.
-            value = _wake.value
-            if _wake._pooled:
-                engine._recycle(_wake)
-        inline_budget = MAX_INLINE_ADVANCES
+        stop = engine._stop
+        value = None if _wake is None else _wake.value
         while True:
             try:
                 target = send(value)
-            except StopIteration as stop:
+            except StopIteration as finished:
                 tracer = engine.tracer
                 if tracer.enabled:
                     tracer.complete(
@@ -192,13 +172,26 @@ class Process(Event):
                         self.name,
                         track=tracer.track("processes"),
                     )
-                self.succeed(stop.value)
+                self.succeed(finished.value)
                 return
             # The exact-type check dodges isinstance's subclass walk for the
             # overwhelmingly common plain-float delay; events and the rare
             # int/numpy delays take the isinstance fallbacks below.
             if type(target) is not float:
                 if isinstance(target, Event):
+                    if (
+                        target.triggered
+                        and not ready
+                        and engine._due_head > engine.now
+                        and not stop.triggered
+                    ):
+                        # Inline continuation: the event has fired, so the
+                        # resume would land on the empty ready deque with
+                        # every timer strictly later -- the next event run,
+                        # at this instant, with this value.
+                        engine.inline_continuations += 1
+                        value = target.value
+                        continue
                     target.add_callback(self._resume)
                     return
                 if not isinstance(target, (int, float)):
@@ -209,10 +202,10 @@ class Process(Event):
             if target > 0.0:
                 wake = engine.now + target
                 if (
-                    inline_budget > 0
-                    and not ready
+                    not ready
                     and engine._due_head > wake
-                    and (limit is None or wake <= limit)
+                    and wake <= limit
+                    and not stop.triggered
                 ):
                     # Inline clock advance: the wake-up at ``wake`` would be
                     # the globally next event (the ready deque is empty and
@@ -220,7 +213,6 @@ class Process(Event):
                     # the clock and continuing here is unobservable -- the
                     # event set and all timestamps are exactly the queue
                     # path's.
-                    inline_budget -= 1
                     engine.inline_clock_advances += 1
                     if wake >= engine._observe_next:
                         engine._observe_through(wake)
@@ -249,10 +241,20 @@ class Engine:
         #: queue.
         self._ready: deque = deque()
         self._counter = 0
-        #: time limit of the innermost ``run(until=...)``; the inline
-        #: clock-advance fast path must never step past it, because the
+        #: time limit of the innermost ``run(until=...)`` (+inf when none);
+        #: the inline clock advance must never step past it, because the
         #: slow path leaves later wake-ups parked in the heap.
-        self._until: Optional[float] = None
+        self._until: float = _INF
+        #: the event the innermost run loop stops at (``run`` and an idle
+        #: engine hold one that never fires); once it has fired, no inline
+        #: path carries a process further, since the loop would not have
+        #: dispatched its wake-up.
+        self._stop = Event(self)
+        #: what ``Resource.acquire`` returns for a free server: one event,
+        #: already fired with a 0.0 wait.  Sharing it is safe because
+        #: nothing mutates a fired event (``succeed`` raises, and
+        #: ``add_callback`` schedules the callback at once).
+        self._granted = Event(self).succeed(0.0)
         self._processes_started = 0
         #: future-time wake-ups, a binary heap of (time, seq, fn, args).
         self._timers: List = []
@@ -266,6 +268,9 @@ class Engine:
         #: the wake-up was provably the globally next event, so the queue
         #: round-trip is skipped and ``now`` is set directly.
         self.inline_clock_advances = 0
+        #: waits on an already-fired event resumed in place: the resume
+        #: was provably the next event run (see Process._resume).
+        self.inline_continuations = 0
         #: spawn-and-join children run as plain nested generators because
         #: nothing else was due at the instant they started (see subtask).
         self.subtasks_fused = 0
@@ -273,8 +278,6 @@ class Engine:
         #: path (see ComputeBlade.run_thread); counted here so the repo
         #: benchmark sees all kernel-side fast paths in one place.
         self.batched_retires = 0
-        #: recycled Events (Resource.acquire / timeout) awaiting reuse.
-        self._event_pool: List[Event] = []
         #: the observability sink; NULL_TRACER unless a cluster installs one.
         self.tracer = NULL_TRACER
         #: the read-only observer and its period (see :meth:`observe`).
@@ -364,25 +367,6 @@ class Engine:
         """Future-time entries currently parked in the timer heap."""
         return len(self._timers)
 
-    def _pooled_event(self) -> Event:
-        """A recycled (or fresh) single-consumer event."""
-        pool = self._event_pool
-        if pool:
-            ev = pool.pop()
-        else:
-            ev = Event(self)
-        ev._pooled = True
-        return ev
-
-    def _recycle(self, ev: Event) -> None:
-        """Return a pooled event to the freelist (resets one-shot state)."""
-        ev._pooled = False
-        if len(self._event_pool) < EVENT_POOL_CAPACITY:
-            ev.triggered = False
-            ev.value = None
-            ev._callbacks = None
-            self._event_pool.append(ev)
-
     def kernel_stats(self) -> Dict[str, int]:
         """Scheduler-side counters for the repo benchmark (``benchmarks/perf``).
 
@@ -396,6 +380,7 @@ class Engine:
             "events_executed": self.events_executed,
             "processes_started": self._processes_started,
             "inline_clock_advances": self.inline_clock_advances,
+            "inline_continuations": self.inline_continuations,
             "subtasks_fused": self.subtasks_fused,
             "batched_retires": self.batched_retires,
         }
@@ -434,14 +419,8 @@ class Engine:
         return (yield self.process(gen))
 
     def timeout(self, delay: float, value: Any = None) -> Event:
-        """An event that fires after ``delay`` microseconds.
-
-        The event is recycled through the engine's freelist once the single
-        process waiting on it resumes: read its value from the ``yield``
-        expression, not from the event object afterwards, and do not share
-        one timeout event between several waiters.
-        """
-        ev = self._pooled_event()
+        """An event that fires with ``value`` after ``delay`` microseconds."""
+        ev = Event(self)
         self.schedule(delay, ev.succeed, value)
         return ev
 
@@ -451,15 +430,44 @@ class Engine:
         """Run until the queue drains or the clock reaches ``until``.
 
         Returns the final simulated time.  Stopping at ``until`` observes
-        every instant up to it first (see :meth:`observe`).
+        every instant up to it first (see :meth:`observe`).  An ``until``
+        earlier than the clock raises: simulated time never runs back.
         """
+        if until is None:
+            until = _INF
+        elif until < self.now:
+            raise SimulationError(
+                f"cannot run until {until}: the clock is already at {self.now}"
+            )
+        self._dispatch(Event(self), until)
+        return self.now
+
+    def run_until_complete(self, ev: Event) -> Any:
+        """Run until ``ev`` fires; returns its value.
+
+        Unlike :meth:`run`, this stops as soon as the awaited event fires,
+        so it works with perpetual background processes (epoch loops) still
+        scheduled.  Raises if the queue drains without the event firing
+        (a deadlock).
+        """
+        self._dispatch(ev, _INF)
+        if not ev.triggered:
+            raise SimulationError("event never fired: simulation deadlocked")
+        return ev.value
+
+    def _dispatch(self, stop: Event, until: float) -> None:
+        """The run loop: execute entries in ``(time, seq)`` order until
+        ``stop`` fires, the queue drains, or the next entry lies past
+        ``until`` (then the clock stops at ``until``)."""
+        outer = self._stop, self._until
+        self._stop = stop
         self._until = until
         ready = self._ready
         executed = 0
         if self._observe_next <= self.now:
             self._observe_through(self.now)
         try:
-            while True:
+            while not stop.triggered:
                 if ready:
                     due = self._due_head
                     first = ready[0]
@@ -470,54 +478,20 @@ class Engine:
                     else:
                         entry = ready.popleft()
                 elif self._due_head != _INF:
-                    if until is not None and self._due_head > until:
+                    if self._due_head > until:
                         if until >= self._observe_next:
                             self._observe_through(until)
                         self.now = until
-                        return until
+                        return
                     entry = self._timer_pop()
                 else:
-                    return self.now
+                    return
                 self.now = entry[0]
                 entry[2](*entry[3])
                 executed += 1
         finally:
             self.events_executed += executed
-            self._until = None
-
-    def run_until_complete(self, ev: Event) -> Any:
-        """Run until ``ev`` fires; returns its value.
-
-        Unlike :meth:`run`, this stops as soon as the awaited event fires,
-        so it works with perpetual background processes (epoch loops) still
-        scheduled.  Raises if the queue drains without the event firing
-        (a deadlock).
-        """
-        ready = self._ready
-        executed = 0
-        if self._observe_next <= self.now:
-            self._observe_through(self.now)
-        while not ev.triggered:
-            if ready:
-                due = self._due_head
-                first = ready[0]
-                if due < first[0] or (
-                    due == first[0] and self._due_seq < first[1]
-                ):
-                    entry = self._timer_pop()
-                else:
-                    entry = ready.popleft()
-            elif self._due_head != _INF:
-                entry = self._timer_pop()
-            else:
-                break
-            self.now = entry[0]
-            entry[2](*entry[3])
-            executed += 1
-        self.events_executed += executed
-        if not ev.triggered:
-            raise SimulationError("event never fired: simulation deadlocked")
-        return ev.value
+            self._stop, self._until = outer
 
     def run_process(self, gen: Generator, name: Optional[str] = None) -> Any:
         """Convenience: start a process, run until it completes, return its
@@ -538,11 +512,7 @@ class Resource:
             resource.release()
 
     The acquire event's value is the queueing delay experienced, which the
-    caller may record (e.g. invalidation queueing in Fig. 7 right).  Read
-    it from the ``yield`` expression: acquire events are recycled through
-    the engine's freelist once the acquiring process resumes, so the event
-    object must not be consulted (or waited on by a second process) after
-    the grant.
+    caller may record (e.g. invalidation queueing in Fig. 7 right).
 
     Naming a resource registers it with the engine so run reports can rank
     queueing hotspots by accumulated wait time; anonymous resources stay
@@ -588,30 +558,18 @@ class Resource:
     def in_use(self) -> int:
         return self._in_use
 
-    def _account(self) -> None:
-        now = self.engine.now
-        if now != self._last_change:
-            self.busy_time += self._in_use * (now - self._last_change)
-            self._last_change = now
+    def _take(self) -> bool:
+        """Grant a free server in place; False when every server is busy.
 
-    def try_acquire(self) -> bool:
-        """Inline uncontended grant; True iff the caller now holds a server.
-
-        Semantically ``(yield self.acquire()) == 0.0`` with identical
-        accounting, minus the event object and the scheduler round trip.
-        Only takes effect when the grant is provably unobservable: the
-        resource has a free server *and* nothing else is due at the current
-        instant, so the acquiring process would have been resumed next
-        anyway (the same guard ``Engine.subtask`` uses).  On
-        False the caller must fall back to ``yield self.acquire()``.
+        The quiet-instant argument is the caller's: :meth:`acquire` hands
+        the grant over as an already-fired event, which the kernel only
+        continues in place when nothing else is due, and ``Link.try_start``
+        has checked that guard itself.
         """
         if self._in_use >= self.capacity:
             return False
-        engine = self.engine
-        if engine._ready or engine._due_head <= engine.now:
-            return False
-        now = engine.now
-        if now != self._last_change:  # _account(), inlined on the hot path
+        now = self.engine.now
+        if now != self._last_change:  # fold the open busy interval
             self.busy_time += self._in_use * (now - self._last_change)
             self._last_change = now
         self._in_use += 1
@@ -619,35 +577,38 @@ class Resource:
         return True
 
     def acquire(self) -> Event:
+        """Request a server; the event's value is the queueing delay.
+
+        A free server is granted at once: the engine's shared fired event
+        (value 0.0) comes back, and a process yielding it continues in
+        place when nothing else is due at this instant.  Otherwise the
+        request queues FIFO on a fresh event that :meth:`release` fires.
+        """
+        if self._take():
+            return self.engine._granted
         engine = self.engine
-        ev = engine._pooled_event()
         now = engine.now
-        if now != self._last_change:  # _account(), inlined on the hot path
+        if now != self._last_change:  # fold the open busy interval
             self.busy_time += self._in_use * (now - self._last_change)
             self._last_change = now
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            self.grants += 1
-            ev.triggered = True
-            ev.value = 0.0
-        else:
-            self._waiters.append((engine.now, ev))
-            if self.name is not None and engine.tracer.enabled:
-                tracer = engine.tracer
-                tracer.counter(
-                    engine.now,
-                    "resource",
-                    f"{self.name}.queue",
-                    len(self._waiters),
-                    track=tracer.track("resources"),
-                )
+        ev = Event(engine)
+        self._waiters.append((now, ev))
+        if self.name is not None and engine.tracer.enabled:
+            tracer = engine.tracer
+            tracer.counter(
+                now,
+                "resource",
+                f"{self.name}.queue",
+                len(self._waiters),
+                track=tracer.track("resources"),
+            )
         return ev
 
     def release(self) -> None:
         if self._in_use <= 0:
             raise SimulationError("release without acquire")
         now = self.engine.now
-        if now != self._last_change:  # _account(), inlined on the hot path
+        if now != self._last_change:  # fold the open busy interval
             self.busy_time += self._in_use * (now - self._last_change)
             self._last_change = now
         if self._waiters:
@@ -674,8 +635,13 @@ class Resource:
             self._in_use -= 1
 
     def utilization(self) -> float:
-        """Time-averaged fraction of capacity in use since engine start."""
-        self._account()
-        if self.engine.now <= 0:
+        """Time-averaged fraction of capacity in use since engine start.
+
+        A pure read: the open busy interval is added in a local, so a
+        mid-run reading leaves the float sum in ``busy_time`` untouched.
+        """
+        now = self.engine.now
+        if now <= 0:
             return 0.0
-        return self.busy_time / (self.engine.now * self.capacity)
+        busy = self.busy_time + self._in_use * (now - self._last_change)
+        return busy / (now * self.capacity)

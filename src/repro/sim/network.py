@@ -166,15 +166,12 @@ class Link:
         # When no representable delta lands there, take the slow path.
         mid = now + ser_us
         done = mid + self.config.link_propagation_us
-        if engine._due_head < done:
-            return -1.0
-        until = engine._until
-        if until is not None and until < done:
+        if engine._due_head < done or engine._until < done:
             return -1.0
         delta = done - now
         if now + delta != done:
             return -1.0
-        if now != res._last_change:  # Resource._account(), inlined
+        if now != res._last_change:  # fold the open busy interval
             res.busy_time += res._in_use * (now - res._last_change)
             res._last_change = now
         # The lump-sum hold, in the exact floats the slow path accrues.
@@ -213,7 +210,7 @@ class Link:
             self._faults
             or engine._ready
             or engine._due_head <= engine.now
-            or not self._resource.try_acquire()
+            or not self._resource._take()
         ):
             return -1.0
         ser_us = self._ser_us.get(size_bytes)
@@ -238,8 +235,7 @@ class Link:
         ser_us = self._ser_us.get(size_bytes)
         if ser_us is None:
             ser_us = self._ser_us[size_bytes] = self.config.serialization_us(size_bytes)
-        if not self._resource.try_acquire():
-            yield self._resource.acquire()
+        yield self._resource.acquire()
         try:
             yield ser_us
             self.bytes_carried += size_bytes

@@ -58,8 +58,7 @@ class ControlCpu:
         return self._occupy(cost_us)
 
     def _occupy(self, cost_us: float) -> Generator:
-        if not self._cpu.try_acquire():
-            yield self._cpu.acquire()
+        yield self._cpu.acquire()
         try:
             yield cost_us
             self.busy_us += cost_us

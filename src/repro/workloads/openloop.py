@@ -190,7 +190,7 @@ def _request(
     engine = blade.engine
     stats = blade.stats
     t_arrival = engine.now
-    wait = 0.0 if worker.try_acquire() else ((yield worker.acquire()) or 0.0)
+    wait = yield worker.acquire()
     try:
         yield from blade.run_thread(pdid, accesses, consistency=consistency)
     finally:

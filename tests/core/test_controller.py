@@ -246,3 +246,36 @@ class TestFullProtectionTable:
         ctl.sys_munmap(a.pid, bases[1])
         assert bases[1] not in ctl.task(a.pid).vmas
         assert len(cluster.mmu.protection) == 4
+
+    def test_refused_munmap_keeps_every_domains_grant(self):
+        # ``a`` maps four adjacent vmas and shares all four with session
+        # domain 777 (one coalesced rule each); ``b`` holds the third rule.
+        # Unmapping a middle vma splits both domains' rules: 2 + 2 + 1 do
+        # not fit in 4, so the revoke is refused as a whole.
+        cluster = small_cluster(match_action_capacity=8, protection_share=0.5)
+        ctl = cluster.controller
+        prot = cluster.mmu.protection
+        a, b = ctl.sys_exec("a"), ctl.sys_exec("b")
+        bases = [ctl.sys_mmap(a.pid, 3 * PAGE_SIZE) for _ in range(4)]
+        for base in bases:
+            ctl.grant_domain(a.pid, base, 777, PermissionClass.READ_WRITE)
+        ctl.sys_mmap(b.pid, 3 * PAGE_SIZE)
+        assert len(prot) == 3
+        grants = prot.grants()
+        with pytest.raises(SyscallError) as exc:
+            ctl.sys_munmap(a.pid, bases[1])
+        assert exc.value.errno == errno.ENOMEM
+        assert prot.grants() == grants
+        assert bases[1] in ctl.task(a.pid).vmas
+        for pdid in (a.pid, 777):
+            assert prot.check(pdid, bases[1], AccessType.WRITE) is PacketVerdict.ALLOW
+        # Once ``b``'s rule is gone, both domains lose the vma together.
+        ctl.sys_exit(b.pid)
+        ctl.sys_munmap(a.pid, bases[1])
+        assert len(prot) == 4
+        for pdid in (a.pid, 777):
+            assert (
+                prot.check(pdid, bases[1], AccessType.READ)
+                is PacketVerdict.REJECT_NO_ENTRY
+            )
+            assert prot.check(pdid, bases[2], AccessType.READ) is PacketVerdict.ALLOW

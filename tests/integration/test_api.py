@@ -128,6 +128,26 @@ class TestProtectionSemantics:
         with pytest.raises(SegmentationFault):
             t.read(buf, 4)
 
+    @pytest.mark.parametrize("teardown", ["munmap", "exit"])
+    def test_unmapped_vma_leaves_no_capability_grant(self, teardown):
+        # A session domain granted on a vma must lose it when the vma goes,
+        # or it reads whoever is mapped at that VA next.
+        system = MindSystem(num_compute_blades=2, num_memory_blades=1)
+        owner = system.spawn_process("owner")
+        buf = owner.mmap(1 << 16)
+        owner.grant_domain(buf, 4242, PermissionClass.READ_WRITE)
+        if teardown == "munmap":
+            owner.munmap(buf)
+        else:
+            owner.exit()
+        assert system.cluster.mmu.protection.grants() == []
+        victim = system.spawn_process("victim")
+        assert victim.mmap(1 << 16) == buf
+        victim.spawn_thread().write(buf, b"victim-secret")
+        blade = system.cluster.compute_blades[1]
+        with pytest.raises(SegmentationFault, match="reject-no-entry"):
+            system.cluster.run_process(blade.load_bytes(4242, buf, 13))
+
     def test_grant_domain_capability_style(self, system):
         server = system.spawn_process("server")
         client = system.spawn_process("client")

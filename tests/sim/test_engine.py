@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event engine."""
 
+import random
+
 import pytest
 
 from repro.sim.engine import AllOf, Engine, Event, Resource, SimulationError
@@ -400,6 +402,39 @@ class TestResourceAccounting:
         # busy integral = 2 servers * 5us + 1 server * 5us = 15 server-us
         # over 10us * 2 capacity = 20 server-us.
         assert res.utilization() == pytest.approx(0.75)
+
+    def test_utilization_reads_leave_the_account_alone(self):
+        # A mid-run read must not fold the open busy interval into
+        # busy_time: the float sum would split at the reader's instants and
+        # round differently from an unread run.
+        def run(seed, read):
+            rng = random.Random(seed)
+            engine = Engine()
+            res = Resource(engine, capacity=2)
+
+            def holder(steps):
+                for gap, hold in steps:
+                    yield gap
+                    yield res.acquire()
+                    yield hold
+                    res.release()
+
+            for _ in range(3):
+                steps = [(rng.uniform(0.0, 2.0), rng.uniform(0.5, 3.0)) for _ in range(50)]
+                engine.process(holder(steps))
+            if read:
+
+                def reader():
+                    while True:
+                        yield 0.9 + 0.2 * rng.random()
+                        res.utilization()
+
+                engine.process(reader())
+            engine.run(until=100.0)
+            return res.busy_time, res.utilization()
+
+        for seed in range(8):
+            assert run(seed, read=True) == run(seed, read=False)
 
     def test_utilization_before_time_advances_is_zero(self):
         engine = Engine()

@@ -1,5 +1,5 @@
-"""The kernel fast paths: the ready deque, the event freelist, inline
-clock advances, and subtask fusion.
+"""The kernel fast paths: the ready deque, inline clock advances, inline
+continuations, and subtask fusion.
 
 Every fast path is *unobservable* by design -- it may only fire when the
 result is identical to the scheduler round-trip it replaces -- so these
@@ -9,12 +9,7 @@ and the simulated behaviour is exactly the slow path's.
 
 import pytest
 
-from repro.sim.engine import (
-    EVENT_POOL_CAPACITY,
-    MAX_INLINE_ADVANCES,
-    Engine,
-    Resource,
-)
+from repro.sim.engine import Engine, Resource
 
 
 class TestZeroDelayOrder:
@@ -64,56 +59,64 @@ class TestZeroDelayOrder:
         assert engine.run_process(proc()) == "payload"
 
 
-class TestEventFreelist:
-    def test_uncontended_acquire_events_are_recycled(self):
-        # An uncontended acquire is granted at once, so its event is
-        # consumed on the next resume and goes back to the freelist; fifty
-        # acquire/release cycles must churn the same pooled object, not
-        # allocate fifty events.
+class TestInlineContinuation:
+    """A wait on an already-fired event resumes in place only when the
+    resume would have been the next event run anyway."""
+
+    def test_free_grant_in_a_quiet_instant_continues_in_place(self):
         engine = Engine()
         resource = Resource(engine, capacity=1)
-        event_ids = set()
 
         def proc():
-            for _ in range(50):
-                grant = resource.acquire()
-                event_ids.add(id(grant))
-                wait = yield grant
-                assert wait == 0.0
-                yield 1.0
-                resource.release()
-
-        engine.run_process(proc())
-        assert engine._event_pool  # the event came back to the pool
-        assert len(event_ids) == 1  # ... and was reused every cycle
-
-    def test_reuse_after_succeed_delivers_fresh_values(self):
-        # A recycled Event must come back blank: a stale .value or
-        # .triggered from its previous life would corrupt the next wait.
-        engine = Engine()
-        resource = Resource(engine, capacity=1)
-        seen = []
-
-        def proc():
-            # Prime the pool with a consumed grant event...
-            yield resource.acquire()
+            wait = yield resource.acquire()
             resource.release()
-            # ... which the timeouts below will pop and reuse.
-            seen.append((yield engine.timeout(1.0, value="first")))
-            seen.append((yield engine.timeout(1.0)))  # default None payload
+            return wait
+
+        assert engine.run_process(proc()) == 0.0
+        assert engine.inline_continuations == 1
+        # Only the process start was dispatched: the grant cost no event.
+        assert engine.events_executed == 1
+
+    def test_sibling_due_now_runs_first(self):
+        # A free grant while other work is due at this instant goes back
+        # through the ready deque, behind that work, exactly as the
+        # scheduler orders it.
+        engine = Engine()
+        resource = Resource(engine, capacity=1)
+        order = []
+
+        def proc():
+            engine.schedule(0.0, order.append, "sibling")
+            wait = yield resource.acquire()
+            order.append(("granted", wait))
+            resource.release()
 
         engine.run_process(proc())
-        assert seen == ["first", None]
+        assert order == ["sibling", ("granted", 0.0)]
+        assert engine.inline_continuations == 0
 
-    def test_pool_is_bounded(self):
+    def test_stops_at_the_awaited_event(self):
+        # A process fires the awaited event and keeps sleeping: the run
+        # returns at the instant the event fired, not some sleeps later.
         engine = Engine()
-        for _ in range(EVENT_POOL_CAPACITY + 50):
-            ev = engine._pooled_event()
-            ev._pooled = True
-            engine._recycle(ev)
-        assert len(engine._event_pool) <= EVENT_POOL_CAPACITY
+        done = engine.event()
 
-    def test_resource_acquire_uses_pool_safely(self):
+        def proc():
+            yield 1.0
+            done.succeed()
+            while True:
+                yield 1.0
+
+        engine.process(proc())
+        engine.run_until_complete(done)
+        assert engine.now == 1.0
+
+
+class TestWaitValues:
+    """Every wait delivers its own value: a grant its queueing delay, a
+    timeout its payload."""
+
+    def test_queued_grants_are_fifo_with_their_waits(self):
         engine = Engine()
         resource = Resource(engine, capacity=1)
         waits = []
@@ -127,8 +130,22 @@ class TestEventFreelist:
         for tag in ("a", "b", "c"):
             engine.process(worker(tag))
         engine.run()
-        # FIFO grants with correct queueing delays, through recycled events.
         assert waits == [("a", 0.0), ("b", 2.0), ("c", 4.0)]
+
+    def test_timeouts_deliver_their_values(self):
+        engine = Engine()
+        resource = Resource(engine, capacity=1)
+        seen = []
+
+        def proc():
+            # The shared fired grant must not leak its 0.0 into later waits.
+            yield resource.acquire()
+            resource.release()
+            seen.append((yield engine.timeout(1.0, value="first")))
+            seen.append((yield engine.timeout(1.0)))  # default None payload
+
+        engine.run_process(proc())
+        assert seen == ["first", None]
 
 
 class TestReadyDeque:
@@ -205,22 +222,6 @@ class TestInlineClockAdvance:
         # ... and a later run() resumes exactly where the limit cut in.
         engine.run()
         assert reached[-1] == 30.0
-
-    def test_budget_forces_scheduler_round_trips(self):
-        # The budget caps how many advances one dispatch may absorb: a lone
-        # sleeper must surface to the scheduler at least every
-        # MAX_INLINE_ADVANCES steps (bounded starvation).
-        engine = Engine()
-        n = 10 * (MAX_INLINE_ADVANCES + 1)
-
-        def proc():
-            for _ in range(n):
-                yield 1.0
-
-        engine.run_process(proc())
-        assert engine.now == float(n)
-        assert engine.inline_clock_advances < n
-        assert engine.events_executed >= n // (MAX_INLINE_ADVANCES + 1)
 
     def test_timestamps_match_heap_path_bit_for_bit(self):
         # The advance stores now + delay exactly as the heap entry would
@@ -322,6 +323,7 @@ class TestKernelStats:
         stats = engine.kernel_stats()
         assert stats["events_executed"] == engine.events_executed
         assert stats["inline_clock_advances"] == engine.inline_clock_advances
+        assert stats["inline_continuations"] == engine.inline_continuations
         assert stats["subtasks_fused"] == engine.subtasks_fused
         assert stats["processes_started"] >= 1
 
@@ -354,9 +356,13 @@ class TestBenchSpeedDocument:
         assert set(kernel_totals) == set(Engine().kernel_stats())
 
     def test_batch_counters_are_live(self, kernel_totals):
-        # ci-quick exercises the batched replay path.
+        # ci-quick exercises the batched replay path and every other
+        # kernel fast path.
         assert kernel_totals["batched_retires"] > 0
         assert kernel_totals["events_executed"] > 0
+        assert kernel_totals["inline_continuations"] > 0
+        assert kernel_totals["inline_clock_advances"] > 0
+        assert kernel_totals["subtasks_fused"] > 0
 
 
 def test_negative_yield_still_rejected():

@@ -3,12 +3,14 @@ the zero-delay ready deque by the global (time, insertion seq) key.
 
 The contract under test is the one the kernel's determinism rests on:
 entries with equal timestamps fire in insertion order whenever they were
-inserted, ``run(until=...)`` stops exactly on a timer's timestamp and
-resumes cleanly, far-future timers fire at their exact time, and the
-event freelist keeps recycling through the timer pop path.
+inserted, ``run(until=...)`` stops exactly on a timer's timestamp,
+resumes cleanly and never runs the clock back, far-future timers fire at
+their exact time, and timeout values come through the timer pop path.
 """
 
-from repro.sim.engine import Engine
+import pytest
+
+from repro.sim.engine import Engine, SimulationError
 
 
 class TestSameTimestampFifo:
@@ -83,6 +85,21 @@ class TestRunUntil:
         assert hits == ["at-limit", "later"]
         assert engine.now == 8.0
 
+    def test_until_before_the_clock_raises(self):
+        # Time already simulated stays simulated: a limit behind the clock
+        # is refused, and an event scheduled afterwards fires after it.
+        engine = Engine()
+        fired = []
+        engine.schedule(10.0, fired.append, 10.0)
+        engine.schedule(30.0, fired.append, 30.0)
+        assert engine.run(until=20.0) == 20.0
+        with pytest.raises(SimulationError):
+            engine.run(until=5.0)
+        assert engine.now == 20.0
+        engine.schedule(1.0, lambda: fired.append(engine.now))
+        engine.run()
+        assert fired == [10.0, 21.0, 30.0]
+
 
 class TestFarFuture:
     def test_far_future_timer_fires_exactly(self):
@@ -115,13 +132,11 @@ class TestFarFuture:
         assert events[-1] == ("step", 600.0)
 
 
-class TestFreelistUnderTimerPops:
-    def test_timeout_events_recycle_through_timer_pops(self):
-        # Positive-delay timeouts park in the heap; the one pooled Event
-        # must be reused for every cycle, and the pops must actually flow
-        # through the timer pop path.
+class TestTimeoutsUnderTimerPops:
+    def test_timeout_values_flow_through_timer_pops(self):
+        # Positive-delay timeouts park in the heap: every wait must get its
+        # value, and the pops must actually flow through the timer pop path.
         engine = Engine()
-        ids = set()
         pops = []
         timer_pop = engine._timer_pop
 
@@ -138,15 +153,11 @@ class TestFreelistUnderTimerPops:
                 yield 1.5
 
         def proc():
-            for _ in range(40):
-                ev = engine.timeout(3.0, value="tick")
-                ids.add(id(ev))
-                got = yield ev
-                assert got == "tick"
+            for i in range(40):
+                got = yield engine.timeout(3.0, value=i)
+                assert got == i
 
         engine.process(pin())
         engine.process(proc())
         engine.run()
-        assert len(ids) == 1  # one pooled event served all 40 waits
-        assert engine._event_pool  # ... and went back to the freelist
         assert len(pops) >= 40

@@ -12,7 +12,10 @@ same contract for the control plane: its churn points are the only ones
 that recompile protection domains at volume.  The serving baseline
 (``benchmarks/BENCH_service.json``, the ``kvs-service-quick`` preset) holds
 it for fail-over: its two ``chaos=crash`` points are the only sweep points
-that crash the switch and rebuild the data plane.
+that crash the switch and rebuild the data plane.  The multi-rack baseline
+(``benchmarks/BENCH_multirack.json``) holds it for queueing: those points
+queue more ``Resource`` grants than any other workload, and every spine
+leg acquires its wire.
 """
 
 import json
@@ -73,4 +76,13 @@ def test_malloc_bench_point_matches_baseline_exactly(recorded):
     ids=lambda rec: rec["point_id"][:12],
 )
 def test_kvs_service_point_matches_baseline_exactly(recorded):
+    _assert_replays_exactly(recorded)
+
+
+@pytest.mark.parametrize(
+    "recorded",
+    _baseline_points("BENCH_multirack.json"),
+    ids=lambda rec: rec["point_id"][:12],
+)
+def test_multirack_point_matches_baseline_exactly(recorded):
     _assert_replays_exactly(recorded)
