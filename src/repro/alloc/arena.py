@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .policy import PAGE_SIZE, AllocatorPolicy, OutOfMemoryError, align_up
 
-#: arena key for ownerless allocations and fail-over replays.
+#: arena key for ownerless allocations (migration shadows).
 _SHARED = -1
 
 
@@ -149,39 +149,6 @@ class ArenaAllocator(AllocatorPolicy):
         arena.live_bytes += length
         self._owner_of[chunk_base] = key
         return chunk_base, scanned + carve_steps + 1
-
-    def _do_allocate_at(self, base: int, length: int) -> int:
-        arena = self._arenas.get(_SHARED)
-        if arena is None:
-            arena = self._arenas[_SHARED] = _Arena()
-        if base >= self._frontier:
-            if base + length > self.base + self.size:
-                raise OutOfMemoryError(
-                    f"range [{base:#x}, {base + length:#x}) beyond blade range"
-                )
-            if base > self._frontier:
-                _insert_hole(self._reserve, self._frontier, base - self._frontier)
-            self._frontier = base + length
-            arena.chunk_bytes += length
-            arena.live_bytes += length
-            self._owner_of[base] = _SHARED
-            return 1
-        steps = 1
-        for i, (hole_base, hole_size) in enumerate(self._reserve):
-            steps += 1
-            if hole_base <= base and base + length <= hole_base + hole_size:
-                del self._reserve[i]
-                if base > hole_base:
-                    self._reserve.insert(i, (hole_base, base - hole_base))
-                    i += 1
-                tail = (hole_base + hole_size) - (base + length)
-                if tail:
-                    self._reserve.insert(i, (base + length, tail))
-                arena.chunk_bytes += length
-                arena.live_bytes += length
-                self._owner_of[base] = _SHARED
-                return steps
-        raise OutOfMemoryError(f"range [{base:#x}, {base + length:#x}) not free")
 
     def _do_free(self, base: int, length: int) -> int:
         key = self._owner_of.pop(base)

@@ -73,34 +73,6 @@ class BuddyAllocator(AllocatorPolicy):
             steps += 1
         return base, steps
 
-    def _do_allocate_at(self, base: int, length: int) -> int:
-        # Walk up from the target block until a free ancestor is found,
-        # then split back down keeping [base, base + length).
-        steps = 1
-        block_size = length
-        block_base = base
-        while True:
-            if self._free_at.get(block_base) == block_size:
-                break
-            if block_size >= self.size:
-                raise OutOfMemoryError(
-                    f"range [{base:#x}, {base + length:#x}) not free"
-                )
-            rel = block_base - self.base
-            block_size *= 2
-            block_base = self.base + (rel & ~(block_size - 1))
-            steps += 1
-        self._remove_free(block_base, block_size)
-        while block_size > length:
-            block_size //= 2
-            if base < block_base + block_size:
-                self._add_free(block_base + block_size, block_size)
-            else:
-                self._add_free(block_base, block_size)
-                block_base += block_size
-            steps += 1
-        return steps
-
     def _do_free(self, base: int, length: int) -> int:
         steps = 1
         block_base, block_size = base, length

@@ -50,15 +50,6 @@ class BumpAllocator(AllocatorPolicy):
         self._frontier += length
         return base, 1
 
-    def _do_allocate_at(self, base: int, length: int) -> int:
-        if base < self._frontier or base + length > self.base + self.size:
-            raise OutOfMemoryError(
-                f"range [{base:#x}, {base + length:#x}) not ahead of frontier"
-            )
-        self._retired += base - self._frontier
-        self._frontier = base + length
-        return 1
-
     def _do_free(self, base: int, length: int) -> int:
         if base + length == self._frontier:
             # Tail free: the frontier can back up without a full reset.

@@ -73,20 +73,6 @@ class FirstFitAllocator(AllocatorPolicy):
             f"no hole fits {length:#x} bytes aligned to {alignment:#x}"
         )
 
-    def _do_allocate_at(self, base: int, length: int) -> int:
-        for i, (hole_base, hole_size) in enumerate(self._holes):
-            if hole_base <= base and base + length <= hole_base + hole_size:
-                del self._holes[i]
-                remainder = []
-                if base > hole_base:
-                    remainder.append((hole_base, base - hole_base))
-                tail = (hole_base + hole_size) - (base + length)
-                if tail:
-                    remainder.append((base + length, tail))
-                self._holes[i:i] = remainder
-                return i + 1
-        raise OutOfMemoryError(f"range [{base:#x}, {base + length:#x}) not free")
-
     def _do_free(self, base: int, length: int) -> int:
         # Insert hole in sorted position (binary search), then coalesce.
         idx = bisect_left(self._holes, (base,))

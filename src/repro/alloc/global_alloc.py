@@ -139,12 +139,6 @@ class GlobalAllocator:
         if self.metadata_sram is not None:
             self.metadata_sram.set_used(sum(self._metadata.values()))
 
-    def attach_metadata_sram(self, sram) -> None:
-        """(Re)bind the SRAM bank -- used when a backup switch adopts a
-        rebuilt allocator after fail-over."""
-        self.metadata_sram = sram
-        self._sync_sram()
-
     def _cost(self, steps: int) -> float:
         if self.cost_model is None:
             return 0.0
@@ -188,14 +182,6 @@ class GlobalAllocator:
         self.last_cost_us = self._cost(alloc.last_op_steps)
         self._rebank(blade_id)
         return base
-
-    def allocate_at(self, blade_id: int, base: int, length: int) -> int:
-        """Claim an exact range on a named blade (fail-over replay)."""
-        alloc = self._blades[blade_id]
-        result = alloc.allocate_at(base, length)
-        self.last_cost_us = self._cost(alloc.last_op_steps)
-        self._rebank(blade_id)
-        return result
 
     def free(self, blade_id: int, va_base: int) -> int:
         alloc = self._blades[blade_id]

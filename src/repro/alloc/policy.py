@@ -6,8 +6,7 @@ known weak point.  This module defines the contract every per-blade policy
 implements so the ablation can swap allocators without touching the control
 plane:
 
-- ``allocate`` / ``allocate_at`` / ``free`` with the legacy first-fit
-  signatures (``allocate_at`` is the Section 4.4 fail-over replay path);
+- ``allocate`` / ``free`` with the legacy first-fit signatures;
 - running-counter accounting (``allocated_bytes``/``free_bytes`` are O(1),
   never re-summed) plus per-op *scan steps*, the deterministic work measure
   the cost model converts into control-CPU microseconds;
@@ -61,14 +60,14 @@ def round_up_pow2(value: int) -> int:
 class AllocatorPolicy(ABC):
     """One blade's allocator over a contiguous ``[base, base + size)`` range.
 
-    Subclasses implement ``_do_allocate`` / ``_do_allocate_at`` / ``_do_free``
-    (each returning the deterministic *step count* of the operation) plus the
+    Subclasses implement ``_do_allocate`` / ``_do_free`` (each returning the
+    deterministic *step count* of the operation) plus the
     ``largest_hole`` and ``metadata_bytes`` views; the base class owns the
     shared bookkeeping: the live-allocation map, running byte counters,
     requested-byte tracking for internal fragmentation, and step totals.
     """
 
-    #: registry key; also recorded in fail-over snapshots.
+    #: registry key (the ``allocator=`` axis value).
     name: ClassVar[str] = "abstract"
 
     def __init__(self, base: int, size: int):
@@ -130,16 +129,6 @@ class AllocatorPolicy(ABC):
         self._commit(base, length, requested, steps)
         return base
 
-    def allocate_at(
-        self, base: int, length: int, requested: Optional[int] = None
-    ) -> int:
-        """Claim an exact range (fail-over replay of a prior allocation)."""
-        if length <= 0:
-            raise ValueError("allocation length must be positive")
-        steps = self._do_allocate_at(base, length)
-        self._commit(base, length, requested, steps)
-        return base
-
     def free(self, base: int) -> int:
         """Release an allocation; returns its padded length."""
         length = self._live.get(base)
@@ -174,10 +163,6 @@ class AllocatorPolicy(ABC):
         self, length: int, alignment: int, owner: Optional[int]
     ) -> Tuple[int, int]:
         """Find a placement; return ``(base, steps)`` or raise OOM."""
-
-    @abstractmethod
-    def _do_allocate_at(self, base: int, length: int) -> int:
-        """Claim ``[base, base + length)`` exactly; return steps or raise."""
 
     @abstractmethod
     def _do_free(self, base: int, length: int) -> int:

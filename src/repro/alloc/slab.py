@@ -143,32 +143,6 @@ class SlabAllocator(AllocatorPolicy):
             f"no slab of {length:#x} bytes available (frontier exhausted)"
         )
 
-    def _do_allocate_at(self, base: int, length: int) -> int:
-        if base >= self._frontier:
-            if base + length > self.base + self.size:
-                raise OutOfMemoryError(
-                    f"range [{base:#x}, {base + length:#x}) beyond blade range"
-                )
-            steps = 1
-            if base > self._frontier:
-                steps += self._decompose(self._frontier, base - self._frontier)
-            self._frontier = base + length
-            return steps
-        # Claim out of an existing free block (mid-replay or test usage).
-        steps = 1
-        for block_base in sorted(self._free_at):
-            steps += 1
-            block_size = self._free_at[block_base]
-            if block_base <= base and base + length <= block_base + block_size:
-                self._remove_free(block_base, block_size)
-                if base > block_base:
-                    steps += self._decompose(block_base, base - block_base)
-                tail = (block_base + block_size) - (base + length)
-                if tail:
-                    steps += self._decompose(base + length, tail)
-                return steps
-        raise OutOfMemoryError(f"range [{base:#x}, {base + length:#x}) not free")
-
     def _do_free(self, base: int, length: int) -> int:
         if base + length == self._frontier:
             return self._retreat(base)

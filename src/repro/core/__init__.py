@@ -4,7 +4,9 @@ Subpackages split by memory-management function, following the paper's own
 decoupling (P1): allocation (re-exported from `repro.alloc`), addressing
 (`addressing`), protection (`protection`), caching/coherence (`directory`,
 `stt`, `coherence`), region sizing (`bounded_splitting`), the control plane
-(`controller`), fail-over (`failures`) and the assembled switch (`mmu`).
+(`controller`) and the assembled switch (`mmu`).  Switch fail-over
+(Section 4.4) keeps the replicated control plane and resets only the
+directory (`InNetworkMmu.take_over`); `repro.faults.failover` runs it.
 """
 
 from ..alloc import (
@@ -26,12 +28,6 @@ from .directory import (
     DirectoryFullError,
     Region,
     RegionDirectory,
-)
-from .failures import (
-    ControlPlaneSnapshot,
-    RebuiltDataPlane,
-    capture_control_plane,
-    rebuild_data_plane,
 )
 from .fetch import DataPath
 from .invalidation import InvalidationEngine
@@ -65,7 +61,6 @@ __all__ = [
     "COMPUTE_BLADE_GROUP",
     "CoherenceProtocol",
     "CoherenceState",
-    "ControlPlaneSnapshot",
     "DataPath",
     "DirectoryFullError",
     "FaultResult",
@@ -79,7 +74,6 @@ __all__ = [
     "PendingTransactionTable",
     "PermissionClass",
     "ProtectionTable",
-    "RebuiltDataPlane",
     "Region",
     "RegionDirectory",
     "RequesterRole",
@@ -99,9 +93,7 @@ __all__ = [
     "build_mesi_stt",
     "build_moesi_stt",
     "build_msi_stt",
-    "capture_control_plane",
     "pack_key",
-    "rebuild_data_plane",
     "round_up_pow2",
     "stt_size",
     "worst_case_subregions",

@@ -12,7 +12,7 @@ range that contains it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from ..switchsim.tcam import Tcam, TcamEntry, VA_WIDTH
 
@@ -71,20 +71,17 @@ class AddressSpace:
 
     # -- blade membership -------------------------------------------------
 
-    def add_blade(self, blade_id: int, va_base: Optional[int] = None) -> int:
+    def add_blade(self, blade_id: int) -> int:
         """Register a memory blade; returns the base VA of its range.
 
-        The VA range is ``[slot * capacity, (slot+1) * capacity)`` and maps
-        one-to-one onto the blade's physical range ``[0, capacity)``.  The
-        next free slot is used unless ``va_base`` names the range (a backup
-        switch re-installing a failed switch's entry, Section 4.4).
+        The VA range is ``[slot * capacity, (slot+1) * capacity)`` for the
+        next free slot and maps one-to-one onto the blade's physical range
+        ``[0, capacity)``.
         """
         if blade_id in self._blade_entries:
             raise ValueError(f"blade {blade_id} already has a translation entry")
-        if va_base is None:
-            va_base = self.base_va + self._next_slot * self.blade_capacity
-        slot = (va_base - self.base_va) // self.blade_capacity
-        self._next_slot = max(self._next_slot, slot + 1)
+        va_base = self.base_va + self._next_slot * self.blade_capacity
+        self._next_slot += 1
         data = _XlateData(blade_id, pa_delta=-va_base, outlier=False)
         entry = self.tcam.insert_prefix(va_base, self.blade_capacity, data)
         self._blade_entries[blade_id] = entry
@@ -101,18 +98,6 @@ class AddressSpace:
     def blade_va_base(self, blade_id: int) -> int:
         entry = self._blade_entries[blade_id]
         return entry.value
-
-    def blade_ranges(self) -> List[Tuple[int, int]]:
-        """``(blade id, VA base)`` of each blade-range entry, in install order."""
-        return [(blade_id, entry.value) for blade_id, entry in self._blade_entries.items()]
-
-    def outliers(self) -> List[Tuple[int, int, int, int]]:
-        """``(VA base, size, blade id, PA base)`` of each outlier route, in
-        install order."""
-        return [
-            (e.value, _prefix_size(e), e.data.blade_id, e.value + e.data.pa_delta)
-            for e in self._outlier_entries
-        ]
 
     @property
     def num_blade_entries(self) -> int:

@@ -104,7 +104,7 @@ class CoherenceProtocol:
         self.admission = AdmissionController(self)
         self.invalidation = InvalidationEngine(self)
         self.fetch = DataPath(self)
-        #: fail-over state: the epoch counts adopted data planes; while an
+        #: fail-over state: the epoch counts switch crashes; while an
         #: outage event is pending, new fault transactions wait at the gate.
         self.epoch = 0
         self._outage: Optional[Event] = None
@@ -187,9 +187,9 @@ class CoherenceProtocol:
     def begin_outage(self) -> Event:
         """Primary-switch crash: new fault transactions block at the gate
         until :meth:`end_outage`.  Idempotent; returns the gate event.  The
-        epoch bumps *now*, not at adoption: a transaction in flight at the
-        crash instant had its directory effects on the dying switch, so it
-        must come back stale even though it keeps executing in the model."""
+        epoch bumps *now*, not at the take-over: a transaction in flight at
+        the crash instant had its directory effects on the dying switch, so
+        it must come back stale even though it keeps executing in the model."""
         if self._outage is None:
             self._outage = self.engine.event()
             self.outage_started_at = self.engine.now
@@ -207,22 +207,6 @@ class CoherenceProtocol:
     def set_phase(self, phase: str) -> None:
         self.phase = phase
         self.stats.set_phase(self.engine.now, phase)
-
-    def adopt_plane(
-        self,
-        directory: RegionDirectory,
-        address_space: AddressSpace,
-        protection: ProtectionTable,
-    ) -> None:
-        """Point the engine at a rebuilt data plane (backup take-over).
-        Bumps the epoch so in-flight transactions come back ``stale``.  The
-        pending table and flush map are deliberately kept: old transactions
-        must still serialize against new ones while they drain, and
-        in-flight write-backs still gate fetch ordering."""
-        self.directory = directory
-        self.address_space = address_space
-        self.protection = protection
-        self.epoch += 1
 
     # -- the fault transaction ----------------------------------------------
 

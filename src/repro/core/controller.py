@@ -24,7 +24,7 @@ from ..switchsim.control_cpu import ControlCpu
 from ..switchsim.tcam import TcamFullError
 from .addressing import AddressSpace
 from .directory import RegionDirectory
-from .protection import ProtectionTable
+from .protection import GrantExistsError, ProtectionTable
 from .vma import PermissionClass, Vma
 
 
@@ -279,22 +279,46 @@ class SwitchController:
         self, pid: int, va_base: int, pdid: int, perm: PermissionClass
     ) -> None:
         """Capability-style API: grant another protection domain access to
-        one of ``pid``'s vmas (Section 4.2's per-session domains)."""
+        one of ``pid``'s vmas (Section 4.2's per-session domains).
+
+        ``EEXIST`` if the domain already holds a grant on the vma,
+        ``ENOMEM`` if the protection table cannot take its rules; either
+        refusal changes nothing.
+        """
         task = self._task(pid)
         entry = task.vmas.get(va_base)
         if entry is None:
             raise SyscallError(errno.EINVAL, f"no vma at {va_base:#x}")
         vma, _blade = entry
-        self.protection.grant(pdid, Vma(vma.base, vma.length, pdid, perm), perm)
+        try:
+            self.protection.grant(pdid, Vma(vma.base, vma.length, pdid, perm), perm)
+        except GrantExistsError as exc:
+            raise SyscallError(errno.EEXIST, str(exc)) from exc
+        except TcamFullError as exc:
+            raise SyscallError(errno.ENOMEM, str(exc)) from exc
 
     def revoke_domain(self, pid: int, va_base: int, pdid: int) -> None:
+        """Revoke one domain's grant on one of ``pid``'s vmas -- any
+        domain's, the owner's own included.
+
+        ``EINVAL`` if ``pid`` has no vma at ``va_base`` or the domain holds
+        no grant there, ``ENOMEM`` if splitting a coalesced rule does not
+        fit; each refusal changes nothing.
+        """
         task = self._task(pid)
         entry = task.vmas.get(va_base)
-        self.protection.revoke(pdid, va_base)
+        if entry is None:
+            raise SyscallError(errno.EINVAL, f"no vma at {va_base:#x}")
+        vma, _blade = entry
+        try:
+            self.protection.revoke(pdid, va_base)
+        except KeyError as exc:
+            raise SyscallError(errno.EINVAL, str(exc)) from exc
+        except TcamFullError as exc:
+            raise SyscallError(errno.ENOMEM, str(exc)) from exc
         # Tear down the revoked domain's local PTEs so cached pages stop
         # honouring the old grant.
-        if entry is not None and self._revoke_domain_range is not None:
-            vma, _blade = entry
+        if self._revoke_domain_range is not None:
             self._revoke_domain_range(pdid, vma.base, vma.length)
 
     # -- helpers -----------------------------------------------------------------

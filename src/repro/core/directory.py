@@ -100,9 +100,15 @@ class RegionDirectory:
             raise ValueError("initial region size must be a power of two >= 4KB")
         if max_region_size < initial_region_size or max_region_size & (max_region_size - 1):
             raise ValueError("max region size must be a power of two >= initial size")
-        self.sram = sram
         self.initial_region_size = initial_region_size
         self.max_region_size = max_region_size
+        self.reset(sram)
+
+    def reset(self, sram: RegisterArray) -> None:
+        """Start over, all-Invalid, in ``sram`` (Section 4.4: a backup
+        switch takes over with a cold directory; the region-size bounds
+        are control-plane policy and stay)."""
+        self.sram = sram
         self._bases: List[int] = []  # sorted region bases
         self._regions: Dict[int, Region] = {}
         self.splits = 0

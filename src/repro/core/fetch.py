@@ -345,14 +345,6 @@ class DataPath:
         )
 
         def _clear(_ev) -> None:
-            # Re-check the fail-over gate: if the primary crashed while this
-            # flush was in flight, the entry must survive the outage -- the
-            # fail-over quiesce re-flushes dirty pages against the rebuilt
-            # plane and synchronizes on this map, so dropping the entry from
-            # a completion that raced the crash would let a re-warmed fetch
-            # order ahead of the (re-issued) write-back.
-            if ctx._outage is not None:
-                return
             if self.pending_flushes.get(page_va) is landed:
                 del self.pending_flushes[page_va]
 

@@ -107,7 +107,6 @@ class InNetworkMmu:
         translation_budget = cfg.match_action_capacity - protection_budget
         self.translation_tcam = Tcam(translation_budget, name="translation")
         self.protection_tcam = Tcam(protection_budget, name="protection")
-        self.directory_sram = RegisterArray(cfg.directory_capacity, name="directory")
 
         self.pipeline = SwitchPipeline(engine, network.config)
         self.multicast = MulticastEngine()
@@ -129,7 +128,7 @@ class InNetworkMmu:
         )
         self.protection = ProtectionTable(self.protection_tcam)
         self.directory = RegionDirectory(
-            self.directory_sram,
+            RegisterArray(cfg.directory_capacity, name="directory"),
             initial_region_size=cfg.initial_region_size,
             max_region_size=cfg.max_region_size,
         )
@@ -199,45 +198,17 @@ class InNetworkMmu:
 
     # -- fail-over ---------------------------------------------------------------
 
-    def adopt_data_plane(
-        self,
-        plane,
-        translation_tcam: Tcam,
-        protection_tcam: Tcam,
-        directory_sram: RegisterArray,
-    ) -> None:
-        """Switch every control/data-path component over to a rebuilt data
-        plane (Section 4.4: the backup switch takes over with tables
-        reprogrammed from the replicated control-plane state).
+    def take_over(self) -> None:
+        """The backup switch starts serving (Section 4.4).
 
-        ``plane`` is a :class:`~repro.core.failures.RebuiltDataPlane`; the
-        TCAM/SRAM arguments are the backup switch's physical tables it was
-        programmed into.  The directory arrives all-Invalid -- re-faults
-        re-warm it -- while translation, protection and allocator occupancy
-        are exact replicas.
+        The control plane -- translation, protection, allocator -- is
+        replicated, so it carries over as is.  Only the directory is lost:
+        it restarts all-Invalid in the backup's own SRAM, and re-faults
+        re-warm it.
         """
-        self.translation_tcam = translation_tcam
-        self.protection_tcam = protection_tcam
-        self.directory_sram = directory_sram
-        self.address_space = plane.address_space
-        self.protection = plane.protection
-        self.directory = plane.directory
-        self.allocator = plane.allocator
-        if self.alloc_metadata_sram is not None:
-            # The backup switch banks the rebuilt allocator's metadata in
-            # its own SRAM; occupancy snaps to the replica's footprint.
-            self.allocator.attach_metadata_sram(self.alloc_metadata_sram)
-        self.coherence.adopt_plane(
-            plane.directory, plane.address_space, plane.protection
+        self.directory.reset(
+            RegisterArray(self.config.directory_capacity, name="directory")
         )
-        ctl = self.controller
-        ctl.allocator = plane.allocator
-        ctl.address_space = plane.address_space
-        ctl.protection = plane.protection
-        ctl.directory = plane.directory
-        self.splitter.directory = plane.directory
-        self.migration.address_space = plane.address_space
-        self.migration.allocator = plane.allocator
 
     # -- observability -------------------------------------------------------------
 
@@ -248,6 +219,11 @@ class InNetworkMmu:
             "protection": len(self.protection_tcam),
             "total": len(self.translation_tcam) + len(self.protection_tcam),
         }
+
+    @property
+    def directory_sram(self) -> RegisterArray:
+        """The directory's SRAM (the backup's own after a take-over)."""
+        return self.directory.sram
 
     def directory_entries(self) -> int:
         return len(self.directory)

@@ -37,6 +37,10 @@ _PDID_MASK = ((1 << PDID_WIDTH) - 1) << VA_WIDTH
 _Rule = Tuple[int, int, int, Tuple[int, PermissionClass]]
 
 
+class GrantExistsError(ValueError):
+    """The domain already holds a grant on the vma."""
+
+
 def pack_key(pdid: int, va: int) -> int:
     """Pack ``(pdid, va)`` into a single TCAM key."""
     pdid, va = int(pdid), int(va)  # tolerate numpy integer inputs
@@ -86,7 +90,7 @@ class ProtectionTable:
         pack_key(pdid, vma.end - 1)
         domain = self._grants.get(pdid, {})
         if vma.base in domain:
-            raise ValueError(
+            raise GrantExistsError(
                 f"protection for pdid={pdid} vma@{vma.base:#x} already granted"
             )
         self._install({pdid: {**domain, vma.base: (vma, perm)}})
@@ -96,8 +100,8 @@ class ProtectionTable:
         """The authoritative grant list, sorted: ``(pdid, vma, perm)``.
 
         Includes both owner grants (installed by ``mmap``) and
-        capability-style domain grants (``grant_domain``) -- this is what
-        fail-over must replicate, not just the per-task vma lists.
+        capability-style domain grants (``grant_domain``), which the
+        per-task vma lists alone miss.
         """
         return [
             (pdid, vma, perm)

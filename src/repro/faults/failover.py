@@ -1,23 +1,27 @@
 """In-simulation switch fail-over (Section 4.4), end to end.
 
-The static pieces already exist -- :func:`capture_control_plane` reads the
-state a backup switch replicates, :func:`rebuild_data_plane` reprograms
-tables from it.  This module wires them into a *running* cluster:
+MIND consistently replicates the control plane at a backup switch:
+translation entries, protection grants and allocator state only change on
+metadata operations (syscalls, migrations), so the replica is cheap to keep
+and, in this model, always equals the live control plane, so the backup
+serves from those very objects.  The coherence directory is deliberately
+not replicated.  This module runs the take-over in a *running* cluster:
 
 1. On a crash, the coherence engine's gate closes: new fault transactions
    queue, experiencing the unavailability window as added latency.
-2. After a modelled detection delay, the backup switch's tables are
-   programmed from the replicated control plane (cost proportional to the
-   rule count).  MIND replicates on the metadata path, so the replica
-   equals the live control plane and is captured at this point.  If
-   metadata changes during the install so that a fresh capture differs
-   from what was installed, the backup re-installs from the fresh one (a
-   catch-up rebuild) until they match.  Every component is then repointed
-   at the rebuilt plane.  The directory comes up all-Invalid -- it is
-   deliberately not replicated.
+2. After a modelled detection delay, the backup installs the replicated
+   translation and protection rules (cost proportional to the rule count).
+   If metadata changes during the install so that the rules differ from
+   the ones just installed, the backup installs again (a catch-up rebuild)
+   until they match.  The backup then takes over with an all-Invalid
+   directory in its own SRAM (:meth:`InNetworkMmu.take_over`).
 3. Compute blades are quiesced: a full-range invalidation flushes every
-   dirty page through the new plane, so memory blades hold the ground
-   truth and the empty directory is *coherent* with blade caches (cold).
+   dirty page through the backup, so memory blades hold the ground truth
+   and the empty directory is *coherent* with blade caches (cold).
+   Coherence safety never depends on directory persistence.  (This relies
+   on the blades surviving, which matches the paper's scope: it handles
+   *switch* failures and defers compute/memory blade fault-tolerance to
+   prior work.)
 4. The gate opens.  Transactions that were in flight on the dead switch
    come back ``stale`` and are re-issued by the blades; re-faults re-warm
    the directory (the re-fault storm the availability report quantifies).
@@ -28,10 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Tuple
 
-from ..core.failures import capture_control_plane, rebuild_data_plane
 from ..switchsim.packets import InvalidationRequest
-from ..switchsim.sram import RegisterArray
-from ..switchsim.tcam import Tcam
 
 #: quiesce invalidation spans the whole virtual address space.
 FULL_VA_SPAN = 1 << 48
@@ -97,41 +98,27 @@ class FailoverOrchestrator:
         # Detection: heartbeats miss, the backup decides to take over.
         yield self.config.detection_us
 
-        # Program the backup's physical tables from the replicated
-        # control-plane state.  Install cost scales with the rule count.
-        # Metadata can change while the install is in flight (a live
-        # mmap/mprotect syscall); adopting tables that miss it would drop
-        # the newer translation/protection entries.  Catch up: re-install
-        # from a fresh capture, paying another install pass, until the
-        # capture matches the tables just installed.
-        cfg = self.mmu.config
-        protection_budget = int(cfg.match_action_capacity * cfg.protection_share)
-        translation_budget = cfg.match_action_capacity - protection_budget
-        controller = self.mmu.controller
-        snapshot = capture_control_plane(controller)
+        # Install the replicated rules on the backup; the cost scales with
+        # the rule count.  Metadata can change while the install is in
+        # flight (a live mmap/mprotect syscall); serving from tables that
+        # miss it would drop the newer translation/protection entries.
+        # Catch up: install again, paying another pass, until the rules
+        # are the ones just installed.
+        mmu = self.mmu
+        installed = (frozenset(mmu.translation_tcam), frozenset(mmu.protection_tcam))
         while True:
-            xlate_tcam = Tcam(translation_budget, name="translation")
-            protection_tcam = Tcam(protection_budget, name="protection")
-            directory_sram = RegisterArray(cfg.directory_capacity, name="directory")
-            plane = rebuild_data_plane(
-                snapshot, xlate_tcam, protection_tcam, directory_sram
-            )
-            rules_installed = len(xlate_tcam) + len(protection_tcam)
-            yield (
-                self.config.rebuild_base_us
-                + rules_installed * self.config.rule_install_us
-            )
-            stats.incr("failover_rules_installed", rules_installed)
-            latest = capture_control_plane(controller)
-            if latest == snapshot:
+            rules = len(installed[0]) + len(installed[1])
+            yield self.config.rebuild_base_us + rules * self.config.rule_install_us
+            stats.incr("failover_rules_installed", rules)
+            latest = (frozenset(mmu.translation_tcam), frozenset(mmu.protection_tcam))
+            if latest == installed:
                 break
-            snapshot = latest
+            installed = latest
             stats.incr("failover_catchup_rebuilds")
+        mmu.take_over()
 
-        self.mmu.adopt_data_plane(plane, xlate_tcam, protection_tcam, directory_sram)
-
-        # Quiesce the blades: flush all dirty pages through the new plane
-        # so memory holds ground truth behind the all-Invalid directory.
+        # Quiesce the blades: flush all dirty pages through the backup so
+        # memory holds ground truth behind the all-Invalid directory.
         yield from self._quiesce_blades()
 
         coherence.end_outage()
@@ -154,8 +141,8 @@ class FailoverOrchestrator:
     def _quiesce_blades(self) -> Generator:
         """Quiesce invalidation on every compute blade, concurrently.
 
-        Each blade flushes its dirty pages (asynchronously, through the new
-        plane) and drops everything else; we then wait for the write-backs
+        Each blade flushes its dirty pages (asynchronously, through the
+        backup) and drops everything else; we then wait for the write-backs
         to land so recovery completes with memory current.
 
         By default the invalidation spans the whole VA space.  A rack node

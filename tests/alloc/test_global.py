@@ -96,13 +96,6 @@ class TestIncrementalOrdering:
         base = ctl.sys_mmap(task.pid, PAGE_SIZE)
         assert mmu.address_space.translate(base).blade_id == src
 
-    def test_allocate_at_keeps_order_fresh(self):
-        galloc = make_global()
-        galloc.allocate_at(1, (1 << 30) + PAGE_SIZE, PAGE_SIZE)
-        assert brute_force_order(galloc) == [0, 2, 3, 1]
-        placed = [galloc.allocate(PAGE_SIZE).blade_id for _ in range(3)]
-        assert placed == [0, 2, 3]
-
     def test_remove_blade_drops_from_order(self):
         galloc = make_global()
         galloc.remove_blade(1)

@@ -4,12 +4,11 @@ import warnings
 
 import pytest
 
+from repro.alloc import POLICIES
 from repro.cluster import ClusterConfig, MindCluster
-from repro.core.failures import capture_control_plane, rebuild_data_plane
 from repro.core.mmu import MindConfig
+from repro.faults import FaultPlan
 from repro.sim.network import PAGE_SIZE
-from repro.switchsim.sram import RegisterArray
-from repro.switchsim.tcam import Tcam
 
 
 def make_cluster(allocator=None):
@@ -64,41 +63,36 @@ class TestAxisGating:
         assert mmu.alloc_metadata_sram.peak_used > 0
 
 
-class TestFailoverReplay:
-    @pytest.mark.parametrize("policy", [None, "slab", "buddy", "arena"])
-    def test_rebuilt_allocator_matches_policy_and_occupancy(self, policy):
-        cluster = make_cluster(allocator=policy)
-        ctl = cluster.controller
-        task = ctl.sys_exec("t")
-        bases = [
-            ctl.sys_mmap(task.pid, (i + 1) * PAGE_SIZE) for i in range(6)
-        ]
-        ctl.sys_munmap(task.pid, bases[2])
-        plane = rebuild_data_plane(
-            capture_control_plane(ctl),
-            xlate_tcam=Tcam(1024, name="backup-xlate"),
-            protection_tcam=Tcam(1024, name="backup-prot"),
-            directory_sram=RegisterArray(256, name="backup-dir"),
+def control_plane_sequence(policy, crash):
+    """Two owners map and unmap; then, after an optional switch crash at
+    10 us, map three more vmas.  Returns those vmas' bases and the
+    allocator's accounting."""
+    cluster = make_cluster(allocator=policy)
+    ctl = cluster.controller
+    a, b = ctl.sys_exec("a"), ctl.sys_exec("b")
+    placed = []
+    for i in range(11):
+        # a asks for 100 bytes short of a page multiple, b for whole pages.
+        owner, short = (a, 100) if i % 2 == 0 else (b, 0)
+        placed.append((owner.pid, ctl.sys_mmap(owner.pid, (i % 3 + 1) * PAGE_SIZE - short)))
+    for pid, base in (placed[2], placed[5]):
+        ctl.sys_munmap(pid, base)
+    if crash:
+        cluster.inject_faults(FaultPlan(seed=1).switch_crash(at_us=10.0))
+        cluster.run()
+        assert cluster.stats.counter("failovers_completed") == 1
+    after = [ctl.sys_mmap(owner.pid, 2 * PAGE_SIZE) for owner in (a, b, a)]
+    return after, cluster.mmu.allocator.raw_telemetry()
+
+
+class TestFailoverKeepsAllocator:
+    @pytest.mark.parametrize("policy", sorted(POLICIES))
+    def test_crash_changes_no_placement_or_accounting(self, policy):
+        # The backup serves from the replicated allocator itself: per-owner
+        # arenas, requested bytes and step counts all carry over.
+        assert control_plane_sequence(policy, crash=True) == control_plane_sequence(
+            policy, crash=False
         )
-        rebuilt = plane.allocator
-        original = cluster.mmu.allocator
-        assert rebuilt.policy_name == original.policy_name
-        assert rebuilt.modeled == original.modeled
-        assert rebuilt.allocated_per_blade() == original.allocated_per_blade()
-        for bid in original.blade_ids:
-            assert (
-                rebuilt.blade(bid).live_allocations()
-                == original.blade(bid).live_allocations()
-            )
-        # Where the free structure is a pure function of the live set,
-        # placement stays identical after adoption: the next allocation
-        # lands on the same blade at the same base.  (Arena placement
-        # depends on per-owner heap state, which a snapshot deliberately
-        # does not replicate -- the replay books into the shared arena.)
-        if policy != "arena":
-            p1 = original.allocate(PAGE_SIZE)
-            p2 = rebuilt.allocate(PAGE_SIZE)
-            assert (p1.blade_id, p1.va_base) == (p2.blade_id, p2.va_base)
 
 
 class TestCorePackageReexport:

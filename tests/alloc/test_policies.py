@@ -1,9 +1,8 @@
 """Seeded randomized invariant suite run against every allocator policy.
 
 Every policy must uphold the same contract under arbitrary churn: live
-allocations never overlap, byte accounting conserves the blade size,
-draining restores one maximal hole, and an ``allocate_at`` replay of the
-live set (the fail-over path) reproduces the same occupancy.
+allocations never overlap, byte accounting conserves the blade size, and
+draining restores one maximal hole.
 """
 
 import random
@@ -78,17 +77,6 @@ class TestPolicyInvariants:
         assert policy.free_bytes == BLADE_SIZE
         assert policy.largest_hole == BLADE_SIZE
         assert policy.external_fragmentation() == 0.0
-
-    def test_allocate_at_replay_round_trips(self, name):
-        """Fail-over: replaying the live set in base order reproduces it."""
-        policy = make_policy(name, BLADE_BASE, BLADE_SIZE)
-        churn(policy, seed=53)
-        snapshot = sorted(policy.live_allocations().items())
-        replica = make_policy(name, BLADE_BASE, BLADE_SIZE)
-        for base, length in snapshot:
-            assert replica.allocate_at(base, length) == base
-        assert replica.live_allocations() == policy.live_allocations()
-        assert replica.allocated_bytes == policy.allocated_bytes
 
     def test_free_unknown_base_raises(self, name):
         policy = make_policy(name, BLADE_BASE, BLADE_SIZE)

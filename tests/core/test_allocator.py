@@ -70,18 +70,6 @@ class TestFirstFit:
         assert alloc.allocated_bytes == 0x1000
         assert alloc.free_bytes == 0x3000
 
-    def test_allocate_at_exact_range(self):
-        alloc = FirstFitAllocator(0, 0x10000)
-        assert alloc.allocate_at(0x4000, 0x2000) == 0x4000
-        # The claimed range is no longer available.
-        with pytest.raises(OutOfMemoryError):
-            alloc.allocate_at(0x5000, 0x1000)
-
-    def test_allocate_at_splits_hole(self):
-        alloc = FirstFitAllocator(0, 0x10000)
-        alloc.allocate_at(0x4000, 0x1000)
-        assert alloc.allocate(0x4000, alignment=0x1000) == 0
-
     def test_invalid_arguments(self):
         alloc = FirstFitAllocator(0, 0x1000)
         with pytest.raises(ValueError):

@@ -182,6 +182,30 @@ class TestProtectionDomains:
             is PacketVerdict.REJECT_NO_ENTRY
         )
 
+    @pytest.mark.parametrize("case", ["grant-held", "revoke-unheld", "revoke-not-owner"])
+    def test_refused_capability_syscall_changes_nothing(self, cluster, ctl, case):
+        task, other = ctl.sys_exec("server"), ctl.sys_exec("other")
+        base = ctl.sys_mmap(task.pid, PAGE_SIZE)
+        ctl.grant_domain(task.pid, base, 777, PermissionClass.READ_ONLY)
+        err, call = {
+            # 777 already holds a grant on the vma.
+            "grant-held": (errno.EEXIST, lambda: ctl.grant_domain(
+                task.pid, base, 777, PermissionClass.READ_WRITE)),
+            # 888 holds none.
+            "revoke-unheld": (errno.EINVAL, lambda: ctl.revoke_domain(task.pid, base, 888)),
+            # ``other`` does not own the vma.
+            "revoke-not-owner": (
+                errno.EINVAL, lambda: ctl.revoke_domain(other.pid, base, task.pid)
+            ),
+        }[case]
+        prot = cluster.mmu.protection
+        grants, rules = prot.grants(), frozenset(prot.tcam)
+        with pytest.raises(SyscallError) as exc:
+            call()
+        assert exc.value.errno == err
+        assert prot.grants() == grants
+        assert frozenset(prot.tcam) == rules
+
     def test_domains_isolated_per_session(self, cluster, ctl):
         """Section 4.2's ssh-server example: one domain per session."""
         task = ctl.sys_exec("server")
@@ -246,6 +270,41 @@ class TestFullProtectionTable:
         ctl.sys_munmap(a.pid, bases[1])
         assert bases[1] not in ctl.task(a.pid).vmas
         assert len(cluster.mmu.protection) == 4
+
+    def test_refused_grant_domain_changes_nothing(self, full):
+        cluster, a, _d, bases = full
+        ctl = cluster.controller
+        prot = cluster.mmu.protection
+        grants, rules = prot.grants(), frozenset(prot.tcam)
+        with pytest.raises(SyscallError) as exc:
+            ctl.grant_domain(a.pid, bases[0], 999, PermissionClass.READ_ONLY)
+        assert exc.value.errno == errno.ENOMEM
+        assert prot.grants() == grants
+        assert frozenset(prot.tcam) == rules
+        assert prot.check(999, bases[0], AccessType.READ) is PacketVerdict.REJECT_NO_ENTRY
+
+    def test_refused_revoke_domain_changes_nothing(self):
+        # The owner's three adjacent vmas and domain 77's grants on all
+        # three each coalesce to one rule; 88 and 99 hold one vma each.
+        # Revoking 77 from the middle vma needs two rules for 77: 5 > 4.
+        cluster = small_cluster(match_action_capacity=8, protection_share=0.5)
+        ctl = cluster.controller
+        prot = cluster.mmu.protection
+        task = ctl.sys_exec("a")
+        bases = [ctl.sys_mmap(task.pid, size) for size in (PAGE_SIZE, PAGE_SIZE, 2 * PAGE_SIZE)]
+        assert bases == [0, PAGE_SIZE, 2 * PAGE_SIZE]
+        for base in bases:
+            ctl.grant_domain(task.pid, base, 77, PermissionClass.READ_WRITE)
+        ctl.grant_domain(task.pid, bases[0], 88, PermissionClass.READ_WRITE)
+        ctl.grant_domain(task.pid, bases[2], 99, PermissionClass.READ_WRITE)
+        assert len(prot) == 4
+        grants, rules = prot.grants(), frozenset(prot.tcam)
+        with pytest.raises(SyscallError) as exc:
+            ctl.revoke_domain(task.pid, bases[1], 77)
+        assert exc.value.errno == errno.ENOMEM
+        assert prot.grants() == grants
+        assert frozenset(prot.tcam) == rules
+        assert prot.check(77, bases[1], AccessType.WRITE) is PacketVerdict.ALLOW
 
     def test_refused_munmap_keeps_every_domains_grant(self):
         # ``a`` maps four adjacent vmas and shares all four with session

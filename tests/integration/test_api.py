@@ -1,8 +1,11 @@
 """End-to-end tests of the public API (repro.api)."""
 
+import errno
+
 import pytest
 
 from repro.api import MindSystem, PermissionClass, SegmentationFault
+from repro.core.controller import SyscallError
 from repro.core.mmu import MindConfig
 from repro.sim.network import PAGE_SIZE
 
@@ -147,6 +150,26 @@ class TestProtectionSemantics:
         blade = system.cluster.compute_blades[1]
         with pytest.raises(SegmentationFault, match="reject-no-entry"):
             system.cluster.run_process(blade.load_bytes(4242, buf, 13))
+
+    def test_only_the_vma_owner_revokes_its_grants(self):
+        system = MindSystem(num_compute_blades=2, num_memory_blades=1)
+        victim = system.spawn_process("victim")
+        other = system.spawn_process("other")
+        buf = victim.mmap(1 << 16)
+        victim.spawn_thread().write(buf, b"mine")
+        protection = system.cluster.mmu.protection
+        grants = protection.grants()
+        with pytest.raises(SyscallError) as exc:
+            other.revoke_domain(buf, victim.pid)
+        assert exc.value.errno == errno.EINVAL
+        assert protection.grants() == grants
+        # A new thread on the other blade still reads the victim's bytes.
+        reader = victim.spawn_thread()
+        assert reader.blade_id == 1
+        assert reader.read(buf, 4) == b"mine"
+        # The owner may revoke any domain's grant on its vma, its own too.
+        victim.revoke_domain(buf, victim.pid)
+        assert protection.grants() == []
 
     def test_grant_domain_capability_style(self, system):
         server = system.spawn_process("server")

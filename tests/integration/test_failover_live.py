@@ -1,14 +1,15 @@
 """Live switch fail-over *inside* the simulation (Section 4.4, end to end).
 
 The FailoverOrchestrator crashes the primary switch while an application is
-mid-workload: the coherence gate closes, the backup's tables are rebuilt
-from the replicated control plane, blades are quiesced (dirty pages flushed
-to the memory blades), and service resumes on the rebuilt plane.  These
-tests verify the full loop: the memory image survives byte-for-byte, the
-unavailability window is finite and bounded by the cost model, in-flight
-transactions are re-issued rather than lost, the directory re-warms from
-all-Invalid, and table entries the vma lists do not show (a rack's VA
-slice, migration routes and shadows, retired blades) survive the rebuild.
+mid-workload: the coherence gate closes, the backup installs the replicated
+control plane and starts with an all-Invalid directory, blades are quiesced
+(dirty pages flushed to the memory blades), and service resumes on the
+backup.  These tests verify the full loop: the memory image survives
+byte-for-byte, the unavailability window is finite and bounded by the cost
+model, in-flight transactions are re-issued rather than lost, the directory
+re-warms from all-Invalid, table entries the vma lists do not show (a
+rack's VA slice, migration routes and shadows, retired blades) survive,
+and the pending tables drain.
 """
 
 import pytest
@@ -71,7 +72,7 @@ def test_workload_survives_in_sim_switch_failover():
 
     # Every byte of pre-crash application state survived the fail-over:
     # the quiesce flushed dirty pages, memory blades held ground truth,
-    # and the rebuilt translation/protection tables still reach it.
+    # and the replicated translation/protection tables still reach it.
     for i, buf in enumerate(bufs):
         data = cluster.run_process(
             cluster.compute_blades[i % 2].load_bytes(
@@ -80,17 +81,46 @@ def test_workload_survives_in_sim_switch_failover():
         )
         assert data == payloads[buf]
 
-    # Coherence still works across blades on the rebuilt plane.
+    # Coherence still works across blades on the backup.
     _store(cluster, 0, task.pid, bufs[0], b"post-failover")
     got = cluster.run_process(
         cluster.compute_blades[1].load_bytes(task.pid, bufs[0], 13)
     )
     assert got == b"post-failover"
 
-    # The directory was rebuilt all-Invalid and re-warmed via re-faults.
+    # The directory restarted all-Invalid and re-warmed via re-faults.
     assert cluster.mmu.directory is not None
     assert len(cluster.mmu.directory) >= 1
     assert cluster.mmu.coherence.directory is cluster.mmu.directory
+
+
+def test_pending_tables_drain_after_failover():
+    cluster = small_cluster(num_compute=2, num_memory=2, cache_pages=64)
+    ctl = cluster.controller
+    task = ctl.sys_exec("drain")
+    buf = ctl.sys_mmap(task.pid, 16 * PAGE_SIZE)
+    cluster.inject_faults(FaultPlan(seed=1).switch_crash(at_us=200.0))
+
+    def worker(blade):
+        # Each blade dirties its own eight pages across the crash: the
+        # quiesce flushes them, and nothing flushes them again after.
+        own = buf + blade.blade_id * 8 * PAGE_SIZE
+        for i in range(300):
+            yield 1.0
+            yield from blade.ensure_page(task.pid, own + (i % 8) * PAGE_SIZE, write=True)
+
+    cluster.run_all([worker(b) for b in cluster.compute_blades])
+    cluster.run()
+    assert cluster.stats.counter("failovers_completed") == 1
+    assert cluster.stats.counter("pages_written_back") >= 16
+    # The quiesce's write-backs land while the gate is still closed; each
+    # leaves the flush map once it lands, like any other write-back.
+    coherence = cluster.mmu.coherence
+    assert coherence.pending_flushes == {}
+    pending = coherence.pending
+    assert pending._entries == {}
+    assert pending.occupancy == 0
+    assert pending._slots.queue_length == 0
 
 
 def test_inflight_transactions_reissued_not_lost():
@@ -136,8 +166,8 @@ def test_failover_restores_region_size_bounds():
             yield from blade.ensure_page(task.pid, buf + (i % 16) * PAGE_SIZE, False)
 
     cluster.run_all([worker(cluster.compute_blades[0])])
-    # Bounded Splitting policy state survives the fail-over (satellite of
-    # the snapshot fix): the rebuilt directory keeps the primary's bounds.
+    # Bounded Splitting policy state survives the fail-over: the reset
+    # directory keeps the primary's bounds.
     assert cluster.mmu.directory.initial_region_size == 8 * PAGE_SIZE
     assert cluster.mmu.directory.max_region_size == 64 * PAGE_SIZE
 
