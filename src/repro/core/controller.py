@@ -184,9 +184,10 @@ class SwitchController:
         """Allocate a vma; returns its base VA (like ``mmap(2)``).
 
         ``pdid`` defaults to the PID; capability-style callers may name a
-        different protection domain (e.g. one per client session).  When
-        the protection table cannot take the vma's rules, the placement is
-        freed and ``ENOMEM`` raised.
+        different protection domain (e.g. one per client session).  A
+        refused grant frees the placement: ``EINVAL`` when ``pdid`` does
+        not fit the PDID field, ``ENOMEM`` when the protection table cannot
+        take the vma's rules.
         """
         task = self._task(pid)
         if length <= 0:
@@ -201,10 +202,11 @@ class SwitchController:
         vma = Vma(placement.va_base, placement.length, pdid or pid, perm)
         try:
             self.protection.grant(vma.pdid, vma, perm)
-        except TcamFullError as exc:
+        except (TcamFullError, ValueError) as exc:
             self.allocator.free(placement.blade_id, placement.va_base)
             self._charge_alloc()
-            raise SyscallError(errno.ENOMEM, str(exc)) from exc
+            code = errno.ENOMEM if isinstance(exc, TcamFullError) else errno.EINVAL
+            raise SyscallError(code, str(exc)) from exc
         task.vmas[vma.base] = (vma, placement.blade_id)
         return vma.base
 
@@ -282,8 +284,9 @@ class SwitchController:
         one of ``pid``'s vmas (Section 4.2's per-session domains).
 
         ``EEXIST`` if the domain already holds a grant on the vma,
-        ``ENOMEM`` if the protection table cannot take its rules; either
-        refusal changes nothing.
+        ``EINVAL`` if ``pdid`` does not fit the PDID field, ``ENOMEM`` if
+        the protection table cannot take its rules; each refusal changes
+        nothing.
         """
         task = self._task(pid)
         entry = task.vmas.get(va_base)
@@ -294,6 +297,8 @@ class SwitchController:
             self.protection.grant(pdid, Vma(vma.base, vma.length, pdid, perm), perm)
         except GrantExistsError as exc:
             raise SyscallError(errno.EEXIST, str(exc)) from exc
+        except ValueError as exc:
+            raise SyscallError(errno.EINVAL, str(exc)) from exc
         except TcamFullError as exc:
             raise SyscallError(errno.ENOMEM, str(exc)) from exc
 

@@ -60,13 +60,10 @@ class MulticastEngine:
         appear in the packet's embedded sharer list, minus the requester
         (``exclude_port``), which must not invalidate itself.
         """
-        group = self._groups[group_id]
-        out: List[int] = []
-        for port in sorted(group.ports):
-            self.replicated += 1
-            if port in sharer_ports and port != exclude_port:
-                out.append(port)
-                self.delivered += 1
-            else:
-                self.pruned += 1
+        ports = self._groups[group_id].ports
+        out = sorted(p for p in sharer_ports if p in ports and p != exclude_port)
+        # One copy per group member; egress drops all but ``out``.
+        self.replicated += len(ports)
+        self.delivered += len(out)
+        self.pruned += len(ports) - len(out)
         return out

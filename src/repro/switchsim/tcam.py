@@ -94,6 +94,10 @@ class Tcam:
     entries, priority is the prefix length, giving LPM semantics).  Ties are
     broken by most-recent insertion, matching how rule updates shadow stale
     rules in real switches.
+
+    Installed entries live in an insertion-ordered dict keyed by identity,
+    so :meth:`replace` and :meth:`remove` cost O(entries changed) and the
+    dict's order is the insertion order the tie rule reads.
     """
 
     def __init__(self, capacity: int, name: str = "tcam"):
@@ -101,14 +105,14 @@ class Tcam:
             raise ValueError("TCAM capacity must be >= 1")
         self.capacity = capacity
         self.name = name
-        self._entries: List[TcamEntry] = []
+        self._entries: Dict[int, TcamEntry] = {}
         self.lookups = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def __iter__(self) -> Iterator[TcamEntry]:
-        return iter(self._entries)
+        return iter(self._entries.values())
 
     @property
     def free(self) -> int:
@@ -122,7 +126,7 @@ class Tcam:
         if value & ~mask:
             raise ValueError("entry value has bits outside its mask")
         entry = TcamEntry(value, mask, priority, data)
-        self._entries.append(entry)
+        self._entries[id(entry)] = entry
         return entry
 
     def insert_prefix(
@@ -149,7 +153,8 @@ class Tcam:
         return [self.insert_prefix(b, s, data, width) for b, s in blocks]
 
     def remove(self, entry: TcamEntry) -> None:
-        self._entries.remove(entry)
+        """Remove the installed ``entry`` itself (not an equal one)."""
+        self.replace([entry], ())
 
     def replace(
         self,
@@ -157,33 +162,45 @@ class Tcam:
         rules: Sequence[Tuple[int, int, int, Any]],
     ) -> List[TcamEntry]:
         """Swap the installed entries ``old`` for ``(value, mask, priority,
-        data)`` ``rules`` in one update; returns the new entries.
+        data)`` ``rules`` in one update; returns the new entries, which
+        rank as the most recent inserts.
 
-        All-or-nothing: if ``rules`` do not fit once ``old`` is gone, or a
-        rule has value bits outside its mask, the table is left unchanged.
+        Costs O(len(old) + len(rules)), whatever the table holds.
+        All-or-nothing: if an ``old`` entry is not installed or is listed
+        twice, if ``rules`` do not fit once ``old`` is gone, or if a rule
+        has value bits outside its mask, the table is left unchanged.
         """
-        gone = {id(entry) for entry in old}
-        kept = [entry for entry in self._entries if id(entry) not in gone]
-        if len(kept) + len(rules) > self.capacity:
+        entries = self._entries
+        gone = {id(entry): entry for entry in old}
+        if len(gone) != len(old):
+            raise ValueError(f"{self.name}: an old entry is listed twice")
+        for key, entry in gone.items():
+            if entries.get(key) is not entry:
+                raise ValueError(f"{self.name}: {entry} is not installed")
+        if len(entries) - len(gone) + len(rules) > self.capacity:
             raise TcamFullError(
                 f"{self.name}: update needs {len(rules)} entries, "
-                f"{self.capacity - len(kept)} free"
+                f"{self.capacity - len(entries) + len(gone)} free"
             )
-        new: List[TcamEntry] = []
-        for value, mask, priority, data in rules:
+        for value, mask, _priority, _data in rules:
             if value & ~mask:
                 raise ValueError("entry value has bits outside its mask")
-            new.append(TcamEntry(value, mask, priority, data))
-        kept.extend(new)
-        self._entries = kept
+        for key in gone:
+            del entries[key]
+        new = [TcamEntry(*rule) for rule in rules]
+        entries.update({id(entry): entry for entry in new})
         return new
 
     def lookup(self, key: int) -> Optional[TcamEntry]:
-        """Highest-priority match for ``key`` (LPM for prefix entries)."""
+        """Highest-priority match for ``key`` (LPM for prefix entries); on
+        equal priority the most recent insert wins.  A linear scan, with
+        the match test inlined: it runs once per entry per lookup."""
         self.lookups += 1
         best: Optional[TcamEntry] = None
-        for entry in self._entries:
-            if entry.matches(key) and (best is None or entry.priority >= best.priority):
+        for entry in self._entries.values():
+            if (key & entry.mask) == entry.value and (
+                best is None or entry.priority >= best.priority
+            ):
                 best = entry
         return best
 
@@ -199,9 +216,9 @@ class Tcam:
         while changed:
             changed = False
             by_key: Dict[Tuple[int, int], TcamEntry] = {
-                (e.value, e.mask): e for e in self._entries
+                (e.value, e.mask): e for e in self
             }
-            for entry in list(self._entries):
+            for entry in list(self):
                 if entry.mask == 0:
                     continue
                 size_bit = (~entry.mask) & ((1 << width) - 1)
@@ -210,11 +227,8 @@ class Tcam:
                 buddy = by_key.get((buddy_value, entry.mask))
                 if buddy is None or buddy is entry or buddy.data != entry.data:
                     continue
-                if entry not in self._entries or buddy not in self._entries:
-                    continue
                 merged_base = min(entry.value, buddy_value)
-                self._entries.remove(entry)
-                self._entries.remove(buddy)
+                self.replace([entry, buddy], ())
                 self.insert_prefix(merged_base, size * 2, entry.data, width)
                 removed += 1
                 changed = True

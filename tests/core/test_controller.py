@@ -81,6 +81,17 @@ class TestMemorySyscalls:
             ctl.sys_mmap(task.pid, 1 << 40)  # bigger than the test blade
         assert exc.value.errno == errno.ENOMEM
 
+    def test_mmap_out_of_range_pdid_frees_its_placement(self, cluster, ctl):
+        task = ctl.sys_exec("a")
+        allocated = cluster.mmu.allocator.allocated_per_blade()
+        for _attempt in range(2):
+            with pytest.raises(SyscallError) as exc:
+                ctl.sys_mmap(task.pid, PAGE_SIZE, pdid=70_000)
+            assert exc.value.errno == errno.EINVAL
+            assert cluster.mmu.allocator.allocated_per_blade() == allocated
+            assert ctl.task(task.pid).vmas == {}
+        assert cluster.mmu.protection.grants() == []
+
     def test_mmaps_do_not_overlap(self, ctl):
         task = ctl.sys_exec("a")
         spans = []
@@ -182,7 +193,9 @@ class TestProtectionDomains:
             is PacketVerdict.REJECT_NO_ENTRY
         )
 
-    @pytest.mark.parametrize("case", ["grant-held", "revoke-unheld", "revoke-not-owner"])
+    @pytest.mark.parametrize(
+        "case", ["grant-held", "grant-bad-pdid", "revoke-unheld", "revoke-not-owner"]
+    )
     def test_refused_capability_syscall_changes_nothing(self, cluster, ctl, case):
         task, other = ctl.sys_exec("server"), ctl.sys_exec("other")
         base = ctl.sys_mmap(task.pid, PAGE_SIZE)
@@ -191,6 +204,9 @@ class TestProtectionDomains:
             # 777 already holds a grant on the vma.
             "grant-held": (errno.EEXIST, lambda: ctl.grant_domain(
                 task.pid, base, 777, PermissionClass.READ_WRITE)),
+            # 70000 does not fit the 16-bit PDID field.
+            "grant-bad-pdid": (errno.EINVAL, lambda: ctl.grant_domain(
+                task.pid, base, 70_000, PermissionClass.READ_WRITE)),
             # 888 holds none.
             "revoke-unheld": (errno.EINVAL, lambda: ctl.revoke_domain(task.pid, base, 888)),
             # ``other`` does not own the vma.

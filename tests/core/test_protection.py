@@ -1,5 +1,6 @@
 """Unit tests for domain-based memory protection."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -235,6 +236,17 @@ class TestAllOrNothing:
             table4.change(1, Vma(0x2000, PAGE, 1, RO), RO)
         assert (table4.grants(), len(table4), _verdicts(table4, (1, 2), pages)) == before
 
+    def test_overlapping_grant_and_resized_change_are_refused(self, table):
+        grant(table, pdid=1, base=0x10000, length=4 * PAGE)
+        before = (table.grants(), _rule_set(table.tcam))
+        with pytest.raises(ValueError, match="overlaps"):
+            grant(table, pdid=1, base=0x12000, length=4 * PAGE)
+        with pytest.raises(ValueError, match="extent"):
+            table.change(1, Vma(0x10000, PAGE, 1, RO), RO)
+        assert (table.grants(), _rule_set(table.tcam)) == before
+        # Another domain may hold the same range.
+        grant(table, pdid=2, base=0x12000, length=4 * PAGE)
+
     @pytest.mark.parametrize(
         "pdid, base",
         [(1 << PDID_WIDTH, 0x20000), (1, (1 << VA_WIDTH) - PAGE)],
@@ -342,3 +354,99 @@ class TestCompiledRules:
                         for g_pdid, g_vma, g_perm in grants
                         if g_pdid == p and g_vma.contains(va)
                     ]
+
+
+class TestUpdateWork:
+    """An update hands the TCAM only the runs it changes, however many
+    grants the domain holds."""
+
+    @pytest.fixture
+    def spied(self, monkeypatch):
+        """pdid 1 holds 64 one-page grants with a page gap after each;
+        returns the table and the ``(old, rules)`` count of every
+        ``Tcam.replace`` made after that."""
+        table = ProtectionTable(Tcam(1024))
+        for i in range(64):
+            grant(table, pdid=1, base=2 * i * PAGE, length=PAGE)
+        calls = []
+        replace = table.tcam.replace
+
+        def spy(old, rules):
+            calls.append((len(old), len(rules)))
+            return replace(old, rules)
+
+        monkeypatch.setattr(table.tcam, "replace", spy)
+        return table, calls
+
+    def test_grant_and_revoke_of_a_lone_vma(self, spied):
+        table, calls = spied
+        grant(table, pdid=1, base=128 * PAGE, length=PAGE)
+        table.revoke(1, 128 * PAGE)
+        assert calls == [(0, 1), (1, 0)]
+        assert len(table) == 64
+
+    def test_merge_split_and_mprotect_touch_only_neighbours(self, spied):
+        table, calls = spied
+        # Page 1 bridges pages 0 and 2: three runs become [0, 3 pages).
+        grant(table, pdid=1, base=PAGE, length=PAGE)
+        # Read-only page 1 splits it back into three runs.
+        table.change(1, Vma(PAGE, PAGE, 1, RO), RO)
+        # Read-write again merges them.
+        table.change(1, Vma(PAGE, PAGE, 1, RW), RW)
+        # Revoking page 1 splits the run in two.
+        table.revoke(1, PAGE)
+        # A same-class mprotect changes no rule.
+        table.change(1, Vma(4 * PAGE, PAGE, 1, RW), RW)
+        assert calls == [(2, 2), (2, 3), (3, 2), (2, 2), (0, 0)]
+        assert len(table) == 64
+
+
+def _check_fixpoint(table, model):
+    grants = [(p, *model[p, base]) for p, base in sorted(model)]
+    assert table.grants() == grants
+    assert _rule_set(table.tcam) == _reference_rules(grants)
+
+
+class TestScale:
+    def test_seeded_long_runs_match_coalesce_fixpoint(self):
+        """A bump-style heap: 64 contiguous read-write grants form one long
+        run, a capability domain shares every third of them read-only,
+        then seeded revokes, re-grants and mprotects split and merge the
+        runs.  After every op the table holds exactly the coalesced
+        fixpoint of its grants."""
+        rng = random.Random(21)
+        table = ProtectionTable(Tcam(1 << 16))
+        model = {}  # (pdid, base) -> (vma, perm)
+        heap = []
+        cursor = 0x40000
+        for _ in range(64):
+            vma = Vma(cursor, rng.choice((1, 1, 2, 3, 4)) * PAGE, 1, RW)
+            cursor = vma.end
+            table.grant(1, vma, RW)
+            model[1, vma.base] = (vma, RW)
+            heap.append(vma)
+            _check_fixpoint(table, model)
+        assert len(table) <= 2 * 48
+        for vma in heap[::3]:
+            table.grant(9, vma.with_perm(RO), RO)
+            model[9, vma.base] = (vma.with_perm(RO), RO)
+            _check_fixpoint(table, model)
+        perms = list(PermissionClass)
+        for _ in range(160):
+            pdid = rng.choice((1, 1, 1, 9))
+            vma = rng.choice(heap)
+            held = model.get((pdid, vma.base))
+            perm = rng.choice(perms)
+            if held is None:
+                table.grant(pdid, vma.with_perm(perm), perm)
+                model[pdid, vma.base] = (vma.with_perm(perm), perm)
+            elif rng.random() < 0.4:
+                table.revoke(pdid, vma.base)
+                del model[pdid, vma.base]
+            else:
+                table.change(pdid, vma.with_perm(perm), perm)
+                model[pdid, vma.base] = (vma.with_perm(perm), perm)
+            _check_fixpoint(table, model)
+        for vma in heap:
+            table.revoke_all(vma.base)
+        assert len(table) == 0 and table.grants() == []

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.switchsim.tcam import (
     Tcam,
+    TcamEntry,
     TcamFullError,
     VA_WIDTH,
     block_to_prefix,
@@ -163,6 +164,45 @@ class TestTcam:
         with pytest.raises(ValueError):
             tcam.replace([a], [(0x1000, 0x1000, 1, "b"), (0xFF, 0xF0, 1, "c")])
         assert list(tcam) == [a]
+
+    def test_replace_refuses_unknown_or_repeated_old_entries(self):
+        tcam = Tcam(4)
+        a = tcam.insert_prefix(0x0, 0x1000, "a")
+        b = tcam.insert_prefix(0x1000, 0x1000, "b")
+        # Equal to ``a`` field by field, but never installed.
+        stranger = TcamEntry(a.value, a.mask, a.priority, a.data)
+        rule = (0x2000, prefix_mask(VA_WIDTH - 12), VA_WIDTH - 12, "c")
+        for old in ([stranger], [b, stranger], [a, a], [b, a, b]):
+            with pytest.raises(ValueError):
+                tcam.replace(old, [rule])
+            assert [id(e) for e in tcam] == [id(a), id(b)]
+        with pytest.raises(ValueError):
+            tcam.remove(stranger)
+        assert [id(e) for e in tcam] == [id(a), id(b)]
+
+    def test_equal_priority_ties_go_to_the_latest_insert(self):
+        """Longest-prefix match breaks ties by recency, across ``insert``,
+        ``replace`` and ``remove``."""
+        tcam = Tcam(8)
+        mask = prefix_mask(VA_WIDTH - 12)
+        first = tcam.insert_prefix(0x0, 0x1000, "first")
+        second = tcam.insert_prefix(0x0, 0x1000, "second")
+        assert tcam.lookup(0x10) is second
+        [third] = tcam.replace([], [(0x0, mask, VA_WIDTH - 12, "third")])
+        assert tcam.lookup(0x10) is third
+        # Replacing an older entry ranks its successor as the latest.
+        [fourth] = tcam.replace([first], [(0x0, mask, VA_WIDTH - 12, "fourth")])
+        assert tcam.lookup(0x10) is fourth
+        tcam.remove(fourth)
+        assert tcam.lookup(0x10) is third
+        tcam.remove(third)
+        assert tcam.lookup(0x10) is second
+        later = tcam.insert_prefix(0x0, 0x1000, "later")
+        assert tcam.lookup(0x10) is later
+        # A longer prefix still beats every more recent shorter one.
+        fine = tcam.insert_prefix(0x0, 0x100, "fine")
+        tcam.insert_prefix(0x0, 0x1000, "latest")
+        assert tcam.lookup(0x10) is fine
 
     def test_value_outside_mask_rejected(self):
         tcam = Tcam(4)
