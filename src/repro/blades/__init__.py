@@ -4,7 +4,6 @@ from .cache import CachedPage, InvalidationOutcome, PageCache
 from .compute import ComputeBlade, SegmentationFault
 from .consistency import ConsistencyModel, StoreBuffer
 from .memory import MemoryBlade, ZERO_PAGE
-from .tlb import PageTableEntry, PteTable
 
 __all__ = [
     "CachedPage",
@@ -13,8 +12,6 @@ __all__ = [
     "InvalidationOutcome",
     "MemoryBlade",
     "PageCache",
-    "PageTableEntry",
-    "PteTable",
     "SegmentationFault",
     "StoreBuffer",
     "ZERO_PAGE",

@@ -1,12 +1,30 @@
-"""Compute-blade DRAM page cache.
+"""Compute-blade DRAM page cache and its per-domain local PTEs.
 
 Under partial disaggregation each compute blade keeps a few GB of local
 DRAM used exclusively as a *cache* of remote pages (Section 2.1).  The
 implementation mirrors the paper's description of their LegoOS-style cache
 with coherence support (Section 6.1): pages are cached at 4 KB granularity
-with per-page permissions, the set of writable (potentially dirty) pages is
-tracked so a region invalidation can flush exactly the dirty pages it
-covers, and capacity misses evict LRU.
+with per-page permissions, a region invalidation flushes exactly the dirty
+pages it covers, and capacity misses evict LRU.
+
+While MIND hides disaggregation from applications, each compute blade still
+runs a local page table mapping MIND virtual addresses to local DRAM frames
+for cached pages (footnote 2 of the paper).  Crucially the local mapping is
+*per protection domain*: the blade cache stores permissions for cached
+pages (Section 3.2), so a page cached on behalf of one domain is not
+implicitly accessible to another -- a different domain's first access must
+fault to the switch, where the protection table arbitrates.  Each
+:class:`CachedPage` therefore carries its PTEs, one writable flag per
+domain, so residency, recency, the dirty bit and every domain's permission
+live in one store and a PTE cannot outlive its page.
+
+An invalidation that unmaps a page or write-protects its PTEs forces a
+*synchronous TLB shootdown*, which the paper measures at several
+microseconds and identifies as a main component of invalidation latency
+(Fig. 7 right, citing LATR); :meth:`PageCache.invalidate_region` counts the
+PTEs it shoots down so the blade can price the shootdown.
+
+Callers without protection domains (the baselines) use domain 0.
 """
 
 from __future__ import annotations
@@ -21,12 +39,18 @@ from ..core.vma import align_down
 
 @dataclass
 class CachedPage:
-    """One resident page: payload plus permission/dirty metadata."""
+    """One resident page: payload, dirty bit and its domains' PTEs."""
 
     va: int
     data: Optional[bytearray]
-    writable: bool = False
+    #: the local PTEs: protection domain -> writable.
+    domains: Dict[int, bool]
     dirty: bool = False
+
+    @property
+    def writable(self) -> bool:
+        """True if some domain maps the page writable."""
+        return any(self.domains.values())
 
 
 @dataclass
@@ -36,6 +60,8 @@ class InvalidationOutcome:
     flushed: List[CachedPage] = field(default_factory=list)
     dropped: int = 0
     downgraded: int = 0
+    #: PTEs unmapped or write-protected: the size of the shootdown batch.
+    ptes_shot_down: int = 0
 
     @property
     def pages_affected(self) -> int:
@@ -43,17 +69,13 @@ class InvalidationOutcome:
 
 
 class PageCache:
-    """LRU page cache with writable-set tracking and region invalidation."""
+    """LRU page store with per-domain PTEs and region invalidation."""
 
     def __init__(self, capacity_pages: int):
         if capacity_pages < 1:
             raise ValueError("cache needs at least one page")
         self.capacity_pages = capacity_pages
         self._pages: "OrderedDict[int, CachedPage]" = OrderedDict()
-        self._writable: Dict[int, CachedPage] = {}
-        self.hits = 0
-        self.misses = 0
-        self.upgrades = 0
 
     def __len__(self) -> int:
         return len(self._pages)
@@ -63,21 +85,22 @@ class PageCache:
 
     # -- access path ---------------------------------------------------------
 
-    def lookup(self, va: int, write: bool) -> Optional[CachedPage]:
-        """Cache hit check; returns the page only if the access is allowed.
+    def lookup(self, va: int, write: bool, pdid: int = 0) -> Optional[CachedPage]:
+        """Hit check; returns the page only if ``pdid`` maps it with the
+        permission the access needs.
 
-        A write to a resident read-only page is a *permission miss* (counted
-        as an upgrade): the caller must fault to run the S->M transition.
+        A miss, a page only other domains map, and a write to a page this
+        domain maps read-only (a *permission miss*) all return None: the
+        caller must fault, so the switch runs protection and the S->M
+        transition.
         """
         page_va = va - (va % PAGE_SIZE)
         page = self._pages.get(page_va)
         if page is None:
-            self.misses += 1
             return None
-        if write and not page.writable:
-            self.upgrades += 1
+        writable = page.domains.get(pdid)
+        if writable is None or (write and not writable):
             return None
-        self.hits += 1
         self._pages.move_to_end(page_va)
         if write:
             page.dirty = True
@@ -92,24 +115,23 @@ class PageCache:
         debt: float,
         debt_limit: float,
         step: float,
+        pdid: int = 0,
     ):
         """Retire a run of consecutive cache hits in one call (batched replay).
 
         Walks ``vas[start:end]`` applying exactly the per-access hit
-        semantics of :meth:`lookup` (hit count, LRU touch, dirty mark on
-        writes), accumulating ``step`` microseconds of local-time debt per
-        hit.  Stops *without consuming the access* at the first miss or
-        permission miss -- the caller re-runs :meth:`lookup` on that access
-        so the miss/upgrade is counted exactly once (the terminating probe
-        here neither counts nor touches the LRU).  Stops *after consuming
-        the access* once ``debt`` reaches ``debt_limit``, matching the
-        per-access loop, which pays its debt after the hit that crossed the
-        threshold.  Returns ``(next_index, debt)``.
+        semantics of :meth:`lookup` for domain ``pdid`` (LRU touch, dirty
+        mark on writes), accumulating ``step`` microseconds of local-time
+        debt per hit.  Stops *without consuming the access* at the first
+        miss or permission miss, leaving it to the caller's fault path.
+        Stops *after consuming the access* once ``debt`` reaches
+        ``debt_limit``, matching the per-access loop, which pays its debt
+        after the hit that crossed the threshold.  Returns
+        ``(next_index, debt)``.
         """
         pages = self._pages
         get = pages.get
         move = pages.move_to_end
-        hits = 0
         i = start
         while i < end:
             va = vas[i]
@@ -118,16 +140,16 @@ class PageCache:
             if page is None:
                 break
             if writes[i]:
-                if not page.writable:
+                if not page.domains.get(pdid):
                     break
                 page.dirty = True
+            elif pdid not in page.domains:
+                break
             move(page_va)
-            hits += 1
             i += 1
             debt += step
             if debt >= debt_limit:
                 break
-        self.hits += hits
         return i, debt
 
     def peek(self, va: int) -> Optional[CachedPage]:
@@ -137,84 +159,83 @@ class PageCache:
     # -- fills & eviction ------------------------------------------------------
 
     def insert(
-        self, va: int, data: Optional[bytes], writable: bool
+        self, va: int, data: Optional[bytes], writable: bool, pdid: int = 0
     ) -> List[CachedPage]:
-        """Fill a page after a fault; returns evicted pages (dirty ones must
-        be flushed by the caller before it reuses the frame)."""
+        """Fill a page for ``pdid`` after a fault; returns evicted pages
+        (dirty ones must be flushed by the caller before it reuses the
+        frame).  Evicted pages leave with their PTEs."""
         page_va = align_down(va, PAGE_SIZE)
         existing = self._pages.get(page_va)
         if existing is not None:
-            # Permission upgrade re-fill: refresh payload and writability.
-            existing.data = bytearray(data) if data is not None else existing.data
-            existing.writable = existing.writable or writable
-            if writable:
-                self._writable[page_va] = existing
+            # Re-fill (a permission upgrade or another domain's first
+            # touch): refresh the payload and map the domain.  A fill never
+            # lowers the domain's permission.
+            if data is not None:
+                existing.data = bytearray(data)
+            domains = existing.domains
+            domains[pdid] = domains.get(pdid, False) or writable
             self._pages.move_to_end(page_va)
             return []
         evicted: List[CachedPage] = []
         while len(self._pages) >= self.capacity_pages:
-            _va, victim = self._pages.popitem(last=False)
-            self._writable.pop(victim.va, None)
-            evicted.append(victim)
-        page = CachedPage(
-            page_va, bytearray(data) if data is not None else None, writable
+            evicted.append(self._pages.popitem(last=False)[1])
+        self._pages[page_va] = CachedPage(
+            page_va, bytearray(data) if data is not None else None, {pdid: writable}
         )
-        self._pages[page_va] = page
-        if writable:
-            self._writable[page_va] = page
         return evicted
 
     def drop(self, va: int) -> Optional[CachedPage]:
-        page_va = align_down(va, PAGE_SIZE)
-        page = self._pages.pop(page_va, None)
-        if page is not None:
-            self._writable.pop(page_va, None)
-        return page
+        """Remove a page and every domain's PTE for it (no write-back)."""
+        return self._pages.pop(align_down(va, PAGE_SIZE), None)
+
+    def unmap_domain_range(self, pdid: int, base: int, size: int) -> None:
+        """Remove one domain's PTEs in a VA range (permission revocation).
+
+        The pages stay resident and other domains' PTEs are untouched.
+        """
+        for page in self.pages_in(base, size):
+            page.domains.pop(pdid, None)
 
     # -- invalidation ------------------------------------------------------------
 
-    def writable_pages_in(self, base: int, size: int) -> List[CachedPage]:
-        return [
-            p for va, p in self._writable.items() if base <= va < base + size
-        ]
-
     def pages_in(self, base: int, size: int) -> List[CachedPage]:
-        return [p for va, p in self._pages.items() if base <= va < base + size]
+        """The resident pages in ``[base, base + size)``, least recently
+        used first."""
+        end = base + size
+        return [p for va, p in self._pages.items() if base <= va < end]
 
     def invalidate_region(
         self, base: int, size: int, downgrade_to_shared: bool, keep_dirty: bool = False
     ) -> InvalidationOutcome:
-        """Apply a region invalidation (Section 6.1).
+        """Apply a region invalidation (Section 6.1) in one pass.
 
-        Dirty pages are returned for write-back.  With ``downgrade_to_shared``
-        (an M->S transition at the old owner) pages stay resident read-only;
-        otherwise every page in the region is dropped.  ``keep_dirty``
-        (MOESI's M->O) write-protects but *keeps* pages dirty and unflushed:
-        this blade remains the data's only up-to-date holder.
+        Dirty pages are returned for write-back, in recency order.  With
+        ``downgrade_to_shared`` (an M->S transition at the old owner) pages
+        stay resident and every writable PTE on them is write-protected;
+        otherwise every page in the region is dropped with all of its
+        PTEs.  ``keep_dirty`` (MOESI's M->O) write-protects but *keeps*
+        pages dirty and unflushed: this blade remains the data's only
+        up-to-date holder.  ``ptes_shot_down`` counts the PTEs changed.
         """
         outcome = InvalidationOutcome()
+        pages = self._pages
         for page in self.pages_in(base, size):
-            if downgrade_to_shared and keep_dirty:
-                page.writable = False
-                self._writable.pop(page.va, None)
-                outcome.downgraded += 1
-                continue
-            if page.dirty:
-                outcome.flushed.append(page)
+            domains = page.domains
             if downgrade_to_shared:
-                page.writable = False
-                page.dirty = False
-                self._writable.pop(page.va, None)
-                if page not in outcome.flushed:
+                for pdid, writable in domains.items():
+                    if writable:
+                        domains[pdid] = False
+                        outcome.ptes_shot_down += 1
+                if page.dirty and not keep_dirty:
+                    page.dirty = False
+                    outcome.flushed.append(page)
+                else:
                     outcome.downgraded += 1
             else:
-                self._pages.pop(page.va, None)
-                self._writable.pop(page.va, None)
-                if not page.dirty:
+                del pages[page.va]
+                outcome.ptes_shot_down += len(domains)
+                if page.dirty:
+                    outcome.flushed.append(page)
+                else:
                     outcome.dropped += 1
         return outcome
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses + self.upgrades
-        return self.hits / total if total else 0.0

@@ -11,8 +11,12 @@ This models the paper's modified Linux kernel at the compute blade
   page.  The receive buffer is the application page itself, so there are no
   extra copies; PTEs are populated before control returns.
 - Dirty LRU evictions write the page back to its memory blade.
-- Invalidation requests from the switch flush all writable pages in the
-  region, unmap PTEs, and perform a synchronous TLB shootdown; invalidation
+- A cached page carries its local PTEs, one per protection domain
+  (Section 3.2): a hit needs *this* domain's PTE with the access's
+  permission, so another domain's first touch faults to the switch.
+- Invalidation requests from the switch flush the region's dirty pages,
+  drop or write-protect its pages together with their PTEs, and perform a
+  synchronous TLB shootdown priced by the PTEs it changed; invalidation
   handling is serialized per blade, producing the queueing delays measured
   in Fig. 7 (right).
 
@@ -42,7 +46,6 @@ from ..switchsim.packets import (
 from ..workloads.trace import AccessOrStream, AccessStream
 from .cache import PageCache
 from .consistency import ConsistencyModel, StoreBuffer
-from .tlb import PteTable
 
 
 class SegmentationFault(Exception):
@@ -55,6 +58,13 @@ LOCAL_TIME_BATCH_US = 25.0
 
 #: PTE population after a fault completes (kernel mm critical section).
 PTE_FIXUP_US = 0.3
+
+#: base cost of one synchronous TLB shootdown (inter-processor interrupts,
+#: waiting for all cores to ACK); matches the "several microseconds" of
+#: Section 7.2.
+SHOOTDOWN_BASE_US = 3.0
+#: incremental cost per additional PTE in the same shootdown batch.
+SHOOTDOWN_PER_PTE_US = 0.15
 
 
 class ComputeBlade:
@@ -78,7 +88,6 @@ class ComputeBlade:
         self.config: NetworkConfig = network.config
         self.datapath = datapath
         self.cache = PageCache(cache_capacity_pages)
-        self.ptes = PteTable()
         self.stats = stats
         self.port = network.attach(f"compute{blade_id}")
         #: serializes the kernel's memory-management critical sections: page
@@ -128,10 +137,10 @@ class ComputeBlade:
                 keep_dirty=inval.keep_dirty,
             )
             spans.mark("process")
-            tlb_us = self.ptes.shootdown_region(
-                inval.region_base, inval.region_size, inval.downgrade_to_shared
-            )
-            if tlb_us:
+            shot_down = outcome.ptes_shot_down
+            tlb_us = 0.0
+            if shot_down:
+                tlb_us = SHOOTDOWN_BASE_US + SHOOTDOWN_PER_PTE_US * (shot_down - 1)
                 # The shootdown IPIs every core: application threads on this
                 # blade lose the same time (they observe steal_time_us).
                 self.steal_time_us += tlb_us
@@ -182,11 +191,9 @@ class ComputeBlade:
             yield inflight
             # Only a hit if *this* domain now holds a sufficient PTE; a
             # concurrent fault by another domain must not leak access.
-            pte = self.ptes.entry(page_va, pdid)
-            if pte is not None and (not write or pte.writable):
-                page = self.cache.lookup(page_va, write)
-                if page is not None:
-                    return page
+            page = self.cache.lookup(page_va, write, pdid)
+            if page is not None:
+                return page
         ev = self.engine.event()
         self._inflight_faults[page_va] = ev
         t_fault = self.engine.now
@@ -229,15 +236,13 @@ class ComputeBlade:
             yield self.kernel_lock.acquire()
             try:
                 yield PTE_FIXUP_US
-                evicted = self.cache.insert(page_va, result.data, writable=write)
-                self.ptes.map_page(page_va, writable=write, pdid=pdid)
+                evicted = self.cache.insert(page_va, result.data, write, pdid)
             finally:
                 self.kernel_lock.release()
             page = self.cache.peek(page_va)
             if write:
                 page.dirty = True
             for victim in evicted:
-                self.ptes.unmap_page(victim.va)
                 self.stats.incr("evictions")
                 if victim.dirty:
                     self.stats.incr("eviction_flushes")
@@ -267,12 +272,10 @@ class ComputeBlade:
         protection table arbitrates (Section 3.2).
         """
         va = int(va)
-        pte = self.ptes.entry(va, pdid)
-        if pte is not None and (not write or pte.writable):
-            page = self.cache.lookup(va, write)
-            if page is not None:
-                yield self.config.dram_access_us
-                return page
+        page = self.cache.lookup(va, write, pdid)
+        if page is not None:
+            yield self.config.dram_access_us
+            return page
         page = yield from self._fault(pdid, align_down(va, PAGE_SIZE), write)
         return page
 
@@ -324,7 +327,8 @@ class ComputeBlade:
         ``accesses`` is ideally an :class:`AccessStream` (the traces'
         ``stream()`` form); any ``(va, is_write)`` iterable is coerced.
         Returns the number of accesses performed.  Local hits accumulate
-        DRAM time and flush it to the event loop in batches.
+        DRAM time and flush it to the event loop in batches.  A hit needs
+        ``pdid``'s PTE, as in :meth:`ensure_page`.
         """
         stream = AccessStream.coerce(accesses)
         vas = stream.vas
@@ -357,7 +361,7 @@ class ComputeBlade:
                         yield local_debt
                         local_debt = 0.0
                     yield pending
-            hit = cache_lookup(va, is_write)
+            hit = cache_lookup(va, is_write, pdid)
             if hit is not None:
                 local_debt += dram_access_us
                 if local_debt >= LOCAL_TIME_BATCH_US:
@@ -391,7 +395,6 @@ class ComputeBlade:
         """
         engine = self.engine
         consume = self.cache.consume_hit_run
-        cache_lookup = self.cache.lookup
         dram_access_us = self.config.dram_access_us
         local_debt = 0.0
         steal_seen = self.steal_time_us
@@ -404,7 +407,7 @@ class ComputeBlade:
                 steal_seen = steal_now
             j, local_debt = consume(
                 vas, write_flags, i, count,
-                local_debt, LOCAL_TIME_BATCH_US, dram_access_us,
+                local_debt, LOCAL_TIME_BATCH_US, dram_access_us, pdid,
             )
             if j > i:
                 engine.batched_retires += 1
@@ -415,8 +418,6 @@ class ComputeBlade:
                 continue
             va = vas[i]
             is_write = write_flags[i]
-            # Count the miss/upgrade exactly once (the batch probe didn't).
-            cache_lookup(va, is_write)
             if local_debt:
                 yield local_debt
                 local_debt = 0.0

@@ -164,11 +164,10 @@ class MindCluster:
 
     def _drop_cached_range(self, base: int, length: int) -> None:
         """munmap support: drop (without write-back) every cached page of a
-        freed vma from every compute blade, including its PTEs."""
+        freed vma, with its PTEs, from every compute blade."""
         for blade in self.compute_blades:
             for page in blade.cache.pages_in(base, length):
                 blade.cache.drop(page.va)
-                blade.ptes.unmap_page(page.va)
 
     def _flush_cached_range(self, base: int, length: int) -> None:
         """mprotect support: write dirty pages back to their memory blades
@@ -183,12 +182,12 @@ class MindCluster:
                         xlate.pa, bytes(page.data)
                     )
                 blade.cache.drop(page.va)
-                blade.ptes.unmap_page(page.va)
 
     def _revoke_domain_range(self, pdid: int, base: int, length: int) -> None:
-        """Domain revocation: drop only that domain's PTEs everywhere."""
+        """Domain revocation: drop only that domain's PTEs everywhere; the
+        pages stay resident."""
         for blade in self.compute_blades:
-            blade.ptes.unmap_domain_range(pdid, base, length)
+            blade.cache.unmap_domain_range(pdid, base, length)
 
     # -- fault injection -------------------------------------------------------
 

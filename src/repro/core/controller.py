@@ -67,9 +67,6 @@ class SwitchController:
         address_space: AddressSpace,
         protection: ProtectionTable,
         directory: RegionDirectory,
-        compute_blade_ids: Optional[List[int]] = None,
-        drop_cached_range: Optional[Callable[[int, int], None]] = None,
-        flush_cached_range: Optional[Callable[[int, int], None]] = None,
         stats=None,
     ):
         self.control_cpu = control_cpu
@@ -79,9 +76,9 @@ class SwitchController:
         self.address_space = address_space
         self.protection = protection
         self.directory = directory
-        self._compute_blade_ids = list(compute_blade_ids or [])
-        self._drop_cached_range = drop_cached_range
-        self._flush_cached_range = flush_cached_range
+        self._compute_blade_ids: List[int] = []
+        self._drop_cached_range: Optional[Callable[[int, int], None]] = None
+        self._flush_cached_range: Optional[Callable[[int, int], None]] = None
         self._revoke_domain_range = None
         self._migration_manager = None
         self._tasks: Dict[int, TaskStruct] = {}
@@ -199,7 +196,9 @@ class SwitchController:
             self._charge_alloc()
             raise SyscallError(errno.ENOMEM, str(exc)) from exc
         self._charge_alloc()
-        vma = Vma(placement.va_base, placement.length, pdid or pid, perm)
+        if pdid is None:
+            pdid = pid
+        vma = Vma(placement.va_base, placement.length, pdid, perm)
         try:
             self.protection.grant(vma.pdid, vma, perm)
         except (TcamFullError, ValueError) as exc:

@@ -45,8 +45,6 @@ class NetworkConfig:
     fault_overhead_us: float = 0.8
     #: Handling one invalidation request at a compute blade (kernel path).
     invalidation_processing_us: float = 1.2
-    #: Synchronous TLB shootdown for an unmap/permission change (Fig. 7 right).
-    tlb_shootdown_us: float = 4.0
     #: RDMA verb post + completion polling at the requester.
     rdma_verb_overhead_us: float = 0.35
 

@@ -19,15 +19,15 @@ class TestFaultPath:
         pid, base = setup_proc(cluster)
         blade = cluster.compute_blades[0]
         cluster.run_process(blade.ensure_page(pid, base, write=False))
-        assert blade.cache.peek(base) is not None
-        assert base in blade.ptes
+        assert blade.cache.peek(base).domains == {pid: False}
 
     def test_pte_writability_mirrors_cache(self, cluster):
         pid, base = setup_proc(cluster)
         blade = cluster.compute_blades[0]
         cluster.run_process(blade.ensure_page(pid, base, write=True))
-        assert blade.ptes.entry(base, pdid=pid).writable
-        assert blade.cache.peek(base).writable
+        page = blade.cache.peek(base)
+        assert page.domains == {pid: True}
+        assert page.writable
 
     def test_hit_costs_only_dram(self, cluster):
         pid, base = setup_proc(cluster)
@@ -52,10 +52,24 @@ class TestFaultPath:
         blade = cluster.compute_blades[0]
         for i in range(blade.cache.capacity_pages + 5):
             cluster.run_process(blade.ensure_page(pid, base + i * PAGE_SIZE, False))
-        # The first page was evicted: not cached, not mapped.
-        assert blade.cache.peek(base) is None
-        assert base not in blade.ptes
+        # The first page was evicted: not cached, and its PTEs went with it.
+        assert base not in blade.cache
         assert cluster.stats.counter("evictions") >= 5
+
+    def test_read_refill_keeps_write_permission(self, cluster):
+        """A read fault that lands on a page a sibling thread has just
+        write-faulted in (replay pays its local debt before faulting) must
+        not write-protect the domain's PTE behind the writer's back."""
+        pid, base = setup_proc(cluster)
+        blade = cluster.compute_blades[0]
+        cluster.run_process(blade.ensure_page(pid, base, write=True))
+        cluster.run_process(blade._fault(pid, base, False))
+        assert blade.cache.peek(base).domains == {pid: True}
+        t0 = cluster.engine.now
+        cluster.run_process(blade.ensure_page(pid, base, write=True))
+        assert cluster.engine.now - t0 == pytest.approx(
+            cluster.network.config.dram_access_us
+        )
 
     def test_dirty_eviction_flushes(self, cluster):
         pid, base = setup_proc(cluster)

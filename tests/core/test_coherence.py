@@ -93,7 +93,6 @@ class TestTransitions:
         touch(cluster, 0, pid, base, write=True)
         blade = cluster.compute_blades[0]
         blade.cache.drop(base)  # simulate a capacity eviction (clean copy)
-        blade.ptes.unmap_page(base)
         touch(cluster, 0, pid, base, write=True)
         region = cluster.mmu.directory.find(base)
         assert region.state is M

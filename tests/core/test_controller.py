@@ -69,6 +69,17 @@ class TestMemorySyscalls:
             is PacketVerdict.ALLOW
         )
 
+    def test_mmap_names_protection_domain_zero(self, cluster, ctl):
+        # PDID 0 is a valid 16-bit domain, not "use the PID".
+        task = ctl.sys_exec("a")
+        base = ctl.sys_mmap(task.pid, PAGE_SIZE, pdid=0)
+        protection = cluster.mmu.protection
+        assert protection.check(0, base, AccessType.READ) is PacketVerdict.ALLOW
+        assert (
+            protection.check(task.pid, base, AccessType.READ)
+            is PacketVerdict.REJECT_NO_ENTRY
+        )
+
     def test_mmap_invalid_length(self, ctl):
         task = ctl.sys_exec("a")
         with pytest.raises(SyscallError) as exc:
@@ -138,8 +149,7 @@ class TestMemorySyscalls:
         blade = cluster.compute_blades[0]
         cluster.run_process(blade.ensure_page(task.pid, base, True))
         ctl.sys_munmap(task.pid, base)
-        assert blade.cache.peek(base) is None
-        assert base not in blade.ptes
+        assert base not in blade.cache  # the page and all of its PTEs
 
     def test_munmap_unknown_vma(self, ctl):
         task = ctl.sys_exec("a")

@@ -5,6 +5,7 @@ import errno
 import pytest
 
 from repro.api import MindSystem, PermissionClass, SegmentationFault
+from repro.blades.consistency import ConsistencyModel
 from repro.core.controller import SyscallError
 from repro.core.mmu import MindConfig
 from repro.sim.network import PAGE_SIZE
@@ -102,6 +103,28 @@ class TestProtectionSemantics:
         ta.write(buf, b"secret")
         with pytest.raises(SegmentationFault):
             tb.read(buf, 6)
+
+    @pytest.mark.parametrize(
+        "consistency, write",
+        [
+            (ConsistencyModel.TSO, False),
+            (ConsistencyModel.TSO, True),
+            (ConsistencyModel.PSO, False),
+        ],
+    )
+    def test_trace_replay_needs_its_own_pte(self, consistency, write):
+        # A page another domain cached on this blade is not a hit: the
+        # replay faults to the switch, which rejects the ungranted domain.
+        system = MindSystem(num_compute_blades=1, num_memory_blades=1)
+        a = system.spawn_process("a")
+        b = system.spawn_process("b")
+        buf = a.mmap(PAGE_SIZE)
+        ta, tb = a.spawn_thread(), b.spawn_thread()
+        ta.write(buf, b"secret")
+        with pytest.raises(SegmentationFault, match="reject-no-entry"):
+            system.cluster.run_process(
+                tb.run_trace_gen([(buf, write)], consistency=consistency)
+            )
 
     def test_mprotect_read_only(self, system):
         proc = system.spawn_process()

@@ -15,7 +15,10 @@ it for fail-over: its two ``chaos=crash`` points are the only sweep points
 that crash the switch and rebuild the data plane.  The multi-rack baseline
 (``benchmarks/BENCH_multirack.json``) holds it for queueing: those points
 queue more ``Resource`` grants than any other workload, and every spine
-leg acquires its wire.
+leg acquires its wire.  The protocol-ablation baseline
+(``benchmarks/BENCH_protocol_ablation.json``) holds it for blade-side
+invalidation: its MESI and MOESI points are the only sweep points that
+run those protocols, MOESI's keep-dirty M->O downgrade included.
 """
 
 import json
@@ -85,4 +88,13 @@ def test_kvs_service_point_matches_baseline_exactly(recorded):
     ids=lambda rec: rec["point_id"][:12],
 )
 def test_multirack_point_matches_baseline_exactly(recorded):
+    _assert_replays_exactly(recorded)
+
+
+@pytest.mark.parametrize(
+    "recorded",
+    _baseline_points("BENCH_protocol_ablation.json"),
+    ids=lambda rec: rec["point_id"][:12],
+)
+def test_protocol_ablation_point_matches_baseline_exactly(recorded):
     _assert_replays_exactly(recorded)
