@@ -24,6 +24,17 @@ microseconds and identifies as a main component of invalidation latency
 (Fig. 7 right, citing LATR); :meth:`PageCache.invalidate_region` counts the
 PTEs it shoots down so the blade can price the shootdown.
 
+Payloads are copy-on-write, as a kernel that receives a fetched page
+straight into the application page copies nothing (Section 6.1).  A fill
+stores ``bytes(data)``: the fetched ``bytes`` object itself, shared with
+the memory blade that returned it (``ZERO_PAGE`` for a page never
+written), or a private immutable copy of a caller's ``bytearray``.  Only
+the compute blade's first store to a page turns its payload into a
+private ``bytearray`` (:meth:`~repro.blades.compute.ComputeBlade.store_bytes`).
+Sharing is safe because ``bytes`` cannot be mutated; a ``bytearray`` is
+never shared.  A trace replay, which never stores bytes, holds no
+per-page buffer at all.
+
 Callers without protection domains (the baselines) use domain 0.
 """
 
@@ -31,7 +42,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from ..sim.network import PAGE_SIZE
 from ..core.vma import align_down
@@ -42,7 +53,9 @@ class CachedPage:
     """One resident page: payload, dirty bit and its domains' PTEs."""
 
     va: int
-    data: Optional[bytearray]
+    #: shared immutable ``bytes`` until the blade's first store gives the
+    #: page a private ``bytearray``; None when payloads are disabled.
+    data: Union[bytes, bytearray, None]
     #: the local PTEs: protection domain -> writable.
     domains: Dict[int, bool]
     dirty: bool = False
@@ -163,7 +176,9 @@ class PageCache:
     ) -> List[CachedPage]:
         """Fill a page for ``pdid`` after a fault; returns evicted pages
         (dirty ones must be flushed by the caller before it reuses the
-        frame).  Evicted pages leave with their PTEs."""
+        frame).  Evicted pages leave with their PTEs.  The page keeps
+        ``bytes(data)``: fetched ``bytes`` are shared, a ``bytearray`` is
+        copied."""
         page_va = align_down(va, PAGE_SIZE)
         existing = self._pages.get(page_va)
         if existing is not None:
@@ -171,7 +186,7 @@ class PageCache:
             # touch): refresh the payload and map the domain.  A fill never
             # lowers the domain's permission.
             if data is not None:
-                existing.data = bytearray(data)
+                existing.data = bytes(data)
             domains = existing.domains
             domains[pdid] = domains.get(pdid, False) or writable
             self._pages.move_to_end(page_va)
@@ -180,7 +195,7 @@ class PageCache:
         while len(self._pages) >= self.capacity_pages:
             evicted.append(self._pages.popitem(last=False)[1])
         self._pages[page_va] = CachedPage(
-            page_va, bytearray(data) if data is not None else None, {pdid: writable}
+            page_va, bytes(data) if data is not None else None, {pdid: writable}
         )
         return evicted
 

@@ -9,7 +9,11 @@ This models the paper's modified Linux kernel at the compute blade
   kernel posts a one-sided RDMA request *for the virtual address* to the
   switch, which runs protection, translation and coherence, and returns the
   page.  The receive buffer is the application page itself, so there are no
-  extra copies; PTEs are populated before control returns.
+  extra copies; PTEs are populated before control returns.  Here the cache
+  keeps the fetched ``bytes`` object itself, and a page's first
+  :meth:`ComputeBlade.store_bytes` gives it a private ``bytearray``
+  (copy-on-write).  Write-backs and the MOESI owner's ``serve_page`` pass
+  an unwritten page's shared bytes on without copying them.
 - Dirty LRU evictions write the page back to its memory blade.
 - A cached page carries its local PTEs, one per protection domain
   (Section 3.2): a hit needs *this* domain's PTE with the access's
@@ -306,8 +310,13 @@ class ComputeBlade:
             page = yield from self.ensure_page(pdid, cursor, write=True)
             offset = cursor - page.va
             take = min(len(view), PAGE_SIZE - offset)
-            if page.data is not None:
-                page.data[offset : offset + take] = view[:take]
+            payload = page.data
+            if payload is not None:
+                if isinstance(payload, bytes):
+                    # Copy on write: the fill shared the fetched bytes; the
+                    # first store gives this blade a private page.
+                    payload = page.data = bytearray(payload)
+                payload[offset : offset + take] = view[:take]
             page.dirty = True
             cursor += take
             view = view[take:]
@@ -371,6 +380,11 @@ class ComputeBlade:
             if local_debt:
                 yield local_debt
                 local_debt = 0.0
+                if cache_lookup(va, is_write, pdid) is not None:
+                    # A sibling's fault landed the page while this thread
+                    # paid its debt: the kernel finds the PTE, no fault.
+                    local_debt = dram_access_us
+                    continue
             if is_write:
                 yield from self._issue_async_write(pdid, page_va, store_buffer)
             else:
@@ -391,10 +405,13 @@ class ComputeBlade:
         steal-time account -- can change without this thread yielding, which
         batches never do.  The first miss or permission miss falls out to
         the exact per-access fault path; the debt-flush points (crossing
-        ``LOCAL_TIME_BATCH_US``, and pre-fault) are the PSO loop's.
+        ``LOCAL_TIME_BATCH_US``, and pre-fault) are the PSO loop's.  Paying
+        the pre-fault debt yields, so the access is tested once more before
+        it faults: a sibling's fault may have made the page resident.
         """
         engine = self.engine
         consume = self.cache.consume_hit_run
+        cache_lookup = self.cache.lookup
         dram_access_us = self.config.dram_access_us
         local_debt = 0.0
         steal_seen = self.steal_time_us
@@ -421,6 +438,12 @@ class ComputeBlade:
             if local_debt:
                 yield local_debt
                 local_debt = 0.0
+                if cache_lookup(va, is_write, pdid) is not None:
+                    # A sibling's fault landed the page while this thread
+                    # paid its debt: the kernel finds the PTE, no fault.
+                    local_debt = dram_access_us
+                    i += 1
+                    continue
             page = yield from self._fault(pdid, va - (va % PAGE_SIZE), bool(is_write))
             if is_write:
                 page.dirty = True

@@ -258,9 +258,7 @@ class CoherenceProtocol:
             self.stats.incr("protection_rejections")
             yield from self.fetch.leg(requester.from_switch, CONTROL_MSG_BYTES)
             spans.mark_wire("reply", requester.from_switch)
-            return FaultResult(
-                verdict, latency_us=self.engine.now - t0, stale=self.epoch != epoch
-            )
+            return FaultResult(verdict, stale=self.epoch != epoch)
 
         # ADMIT + classify (optimistic Shared-read admission lives there).
         txn = self.pending.transaction(req.src_port, page_va, req.access.is_write)
@@ -282,7 +280,7 @@ class CoherenceProtocol:
             )
             spans.mark("recirculate")
 
-            data, invalidations, was_reset, coalesced = yield from (
+            data, coalesced = yield from (
                 self.fetch.run_action(
                     txn, req, requester, page_va, region, transition,
                     old_owner, old_sharers, spans,
@@ -304,16 +302,7 @@ class CoherenceProtocol:
             if stale:
                 self.stats.incr("stale_transactions")
             return FaultResult(
-                verdict=PacketVerdict.ALLOW,
-                label=transition.label,
-                latency_us=latency,
-                data=data,
-                translation=self.address_space.translate(page_va),
-                granted_write=req.access.is_write,
-                invalidations_sent=invalidations,
-                was_reset=was_reset,
-                stale=stale,
-                coalesced=coalesced,
+                PacketVerdict.ALLOW, data, stale=stale, coalesced=coalesced
             )
         finally:
             self.pending.complete(txn)

@@ -106,7 +106,7 @@ class DataPath:
         spans: "SpanCursor",
     ) -> Generator:
         """Drive the data-path phases the STT verdict selected.  Returns
-        ``(data, invalidations, was_reset, coalesced)``."""
+        ``(data, coalesced)``."""
         ctx = self.ctx
         if transition.action is TransitionAction.FETCH_ONLY:
             txn.phase = TxnPhase.FETCH
@@ -120,7 +120,7 @@ class DataPath:
                     yield from self.leg(requester.from_switch, PAGE_SIZE)
                     yield ctx.config.rdma_verb_overhead_us
                     spans.mark_wire("reply", requester.from_switch)
-                    return data, 0, False, True
+                    return data, True
             if (
                 not txn.shared
                 and not txn.is_write
@@ -139,7 +139,7 @@ class DataPath:
             else:
                 data = yield from self.fetch(req, requester, page_va)
             spans.mark_wire("fetch", requester.from_switch)
-            return data, 0, False, False
+            return data, False
         if transition.action is TransitionAction.INVALIDATE_PARALLEL:
             txn.phase = TxnPhase.INVALIDATE
             targets = ctx.multicast.replicate(
@@ -154,7 +154,7 @@ class DataPath:
             # Fetch and invalidation overlap (the S->M parallelism of
             # Fig. 7); the wall segment is attributed to their union.
             spans.mark_wire("fetch+invalidation", requester.from_switch)
-            return fetch_proc.value, len(targets), ack_proc.value, False
+            return fetch_proc.value, False
         if transition.action is TransitionAction.LOCAL_UPGRADE:
             # MOESI O->M at the owner: no data moves; invalidate the other
             # sharers, then return the grant.
@@ -163,18 +163,16 @@ class DataPath:
                 ctx.compute_group, old_sharers, req.src_port
             )
             inval = ctx.invalidation.make_inval(region, req, targets, downgrade=False)
-            was_reset = yield from ctx.invalidation.invalidate_all(
-                inval, targets, region
-            )
+            yield from ctx.invalidation.invalidate_all(inval, targets, region)
             spans.mark("invalidation")
             yield from self.leg(requester.from_switch, CONTROL_MSG_BYTES)
             spans.mark_wire("reply", requester.from_switch)
-            return None, len(targets), was_reset, False
+            return None, False
         if transition.action is TransitionAction.FETCH_FROM_OWNER:
             # Only the first steal (M->O) must write-protect the owner; for
             # O->O the owner is read-only already.
             txn.phase = TxnPhase.FETCH
-            data, was_reset = yield from self.fetch_from_owner(
+            data = yield from self.fetch_from_owner(
                 req,
                 requester,
                 page_va,
@@ -183,7 +181,7 @@ class DataPath:
                 write_protect_owner=transition.label == "M->O",
             )
             spans.mark_wire("owner_fetch", requester.from_switch)
-            return data, 1 if old_owner is not None else 0, was_reset, False
+            return data, False
         # INVALIDATE_OWNER_THEN_FETCH: the owner must flush before memory
         # serves (the sequential M->S/M path, 2x latency of Fig. 7 left).
         txn.phase = TxnPhase.INVALIDATE
@@ -197,12 +195,12 @@ class DataPath:
         inval = ctx.invalidation.make_inval(
             region, req, targets, downgrade=transition.owner_downgrades
         )
-        was_reset = yield from ctx.invalidation.invalidate_all(inval, targets, region)
+        yield from ctx.invalidation.invalidate_all(inval, targets, region)
         spans.mark("invalidation")
         txn.phase = TxnPhase.FETCH
         data = yield from self.fetch(req, requester, page_va)
         spans.mark_wire("fetch", requester.from_switch)
-        return data, len(targets), was_reset, False
+        return data, False
 
     # -- memory-blade fetch ---------------------------------------------------
 
@@ -254,14 +252,12 @@ class DataPath:
 
         Falls back to the memory blade when the owner no longer caches the
         page (it was evicted, and the eviction flush made memory current).
-        Returns ``(data, was_reset)``.
         """
         ctx = self.ctx
         if owner_port_id is None or owner_port_id not in ctx._page_servers:
             data = yield from self.fetch(req, requester, page_va)
-            return data, False
+            return data
         owner_port = ctx._blade_ports[owner_port_id]
-        was_reset = False
         if write_protect_owner:
             inval = InvalidationRequest(
                 region_base=region.base,
@@ -272,9 +268,7 @@ class DataPath:
                 downgrade_to_shared=True,
                 keep_dirty=True,
             )
-            was_reset = yield from ctx.invalidation.invalidate_all(
-                inval, [owner_port_id], region
-            )
+            yield from ctx.invalidation.invalidate_all(inval, [owner_port_id], region)
         else:
             # Just the read request leg to the owner.
             yield from self.leg(owner_port.from_switch, CONTROL_MSG_BYTES)
@@ -284,7 +278,7 @@ class DataPath:
         if data is None:
             # Owner evicted the page; its flush made memory current.
             fetched = yield from self.fetch(req, requester, page_va)
-            return fetched, was_reset
+            return fetched
         if data == b"":
             data = None  # resident, but payload storage is disabled
         ctx.stats.incr("cache_to_cache_transfers")
@@ -293,7 +287,7 @@ class DataPath:
         yield from ctx.engine.subtask(resp.traverse())
         yield from self.leg(requester.from_switch, PAGE_SIZE)
         yield ctx.config.rdma_verb_overhead_us
-        return data, was_reset
+        return data
 
     # -- write-backs ----------------------------------------------------------
 

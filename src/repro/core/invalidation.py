@@ -63,8 +63,8 @@ class InvalidationEngine:
     def invalidate_all(
         self, inval: InvalidationRequest, targets: List[int], region: Region
     ) -> Generator:
-        """Deliver an invalidation to every target; returns True if a reset
-        was required (some target never ACKed).
+        """Deliver an invalidation to every target (resetting the region
+        if some target never ACKs).
 
         Multicast mode replicates in the traffic manager: all targets are
         in flight after one pipeline pass.  Unicast mode serializes packet
@@ -73,7 +73,7 @@ class InvalidationEngine:
         """
         ctx = self.ctx
         if not targets:
-            return False
+            return
         procs = []
         for port_id in targets:
             if ctx.invalidation_mode == "unicast-cpu":
@@ -85,8 +85,7 @@ class InvalidationEngine:
             procs.append(
                 ctx.engine.process(self._invalidate_with_retry(inval, port_id, region))
             )
-        results = yield ctx.engine.all_of(procs)
-        return any(r is None for r in results)
+        yield ctx.engine.all_of(procs)
 
     def _unicast_generate(self) -> Generator:
         """One unicast invalidation's generation at the switch CPU."""
@@ -102,13 +101,12 @@ class InvalidationEngine:
         for attempt in range(ctx.MAX_RETRIES + 1):
             ack = yield from self._invalidate_at(inval, port_id, region)
             if ack is not None:
-                return ack
+                return
             # A link fault window ate the invalidation or its ACK: wait
             # out the (growing) timeout, retransmit.
             ctx.stats.incr("retransmissions")
             yield ctx.retry_timeout_us(attempt)
         yield from self.reset_region(region)
-        return None
 
     def _invalidate_at(
         self, inval: InvalidationRequest, port_id: int, region: Region

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Deque, Dict, Generator, List, Optional, Tuple
 
 from ..sim.engine import Engine, Event, Resource
 from ..switchsim.packets import PacketVerdict
-from .addressing import Translation
 from .directory import CoherenceState, DirectoryFullError, Region
 from .stt import Transition, TransitionAction, role_of
 
@@ -50,13 +49,7 @@ class FaultResult:
     """What the requesting blade learns when its fault transaction ends."""
 
     verdict: PacketVerdict
-    label: str = ""
-    latency_us: float = 0.0
     data: Optional[bytes] = None
-    translation: Optional[Translation] = None
-    granted_write: bool = False
-    invalidations_sent: int = 0
-    was_reset: bool = False
     #: a switch fail-over happened mid-flight: directory effects may be
     #: lost, so the blade must re-issue against the rebuilt data plane.
     stale: bool = False

@@ -398,17 +398,22 @@ class Engine:
 
     def subtask(self, gen: Generator) -> Generator:
         """Spawn-and-join a child generator: ``result = yield from
-        engine.subtask(gen)`` is semantically ``yield engine.process(gen)``.
+        engine.subtask(gen)`` stands for ``yield engine.process(gen)``.
 
         When nothing else is due at the current instant (so the child's
         start would have been the next event executed), the child
         generator itself is returned and the caller's ``yield from``
         drives it directly -- no Process allocation, no scheduler
         round-trips, no completion-event machinery, not even a wrapper
-        frame.  The side-effect order is exactly what dispatching the
-        child's start next would have produced.  Any other time it falls
-        back to a real spawn-and-join process.  The tracer plays no part
-        in the decision: a fused child simply has no ``engine`` span.
+        frame.  The child's start is exactly what dispatching it next
+        would have produced.  Its exit is not: a fused child's return
+        resumes the caller in place, while a spawned child's completion
+        event queues the caller's resume behind any ready entry due at
+        that same instant, so the two can order same-instant work
+        differently (pinned by ``test_fused_exit_is_observable``).  Any
+        other time it falls back to a real spawn-and-join process.  The
+        tracer plays no part in the decision: a fused child simply has no
+        ``engine`` span.
         """
         if not self._ready and self._due_head > self.now:
             self.subtasks_fused += 1

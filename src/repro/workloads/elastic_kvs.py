@@ -66,9 +66,12 @@ def make_ops(
         seed=stable_seed(name, seed, tenant, client, "zipf"),
     )
     reads = rng.random(count) < read_fraction if count else []
+    # One draw for every key: the same doubles, hence the same keys, as
+    # ``count`` calls of ``sample_one``.
+    keys = sampler.sample(count).tolist()
     ops = []
     for i in range(count):
-        key = tenant_key(tenant, int(sampler.sample_one()))
+        key = tenant_key(tenant, keys[i])
         if reads[i]:
             ops.append(KvsOp("get", key))
         else:

@@ -161,11 +161,27 @@ class TestInvalidation:
 
 class TestPayload:
     def test_data_copied_on_insert(self, cache):
-        buf = b"a" * PAGE_SIZE
+        """A caller's bytearray is copied once, into an immutable payload:
+        changing the buffer after the fill leaves the page as filled."""
+        buf = bytearray(b"a" * PAGE_SIZE)
         cache.insert(0x1000, buf, writable=True)
+        buf[0] = ord("z")
         page = cache.peek(0x1000)
-        page.data[0] = ord("z")
-        assert buf[0] == ord("a")  # original unchanged
+        assert type(page.data) is bytes
+        assert page.data == b"a" * PAGE_SIZE
+        refill = bytearray(b"b" * PAGE_SIZE)
+        cache.insert(0x1000, refill, writable=True)
+        refill[0] = ord("z")
+        assert page.data == b"b" * PAGE_SIZE
+
+    def test_fetched_bytes_are_shared_not_copied(self, cache):
+        fetched = b"a" * PAGE_SIZE
+        cache.insert(0x1000, fetched, writable=False)
+        assert cache.peek(0x1000).data is fetched
+        # A refill (here a permission upgrade) shares its bytes too.
+        refetched = b"b" * PAGE_SIZE
+        cache.insert(0x1000, refetched, writable=True)
+        assert cache.peek(0x1000).data is refetched
 
     def test_none_data_supported(self, cache):
         cache.insert(0x1000, None, writable=True)

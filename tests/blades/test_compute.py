@@ -3,6 +3,7 @@
 import pytest
 
 from repro.blades.consistency import ConsistencyModel
+from repro.blades.memory import ZERO_PAGE
 from repro.sim.network import PAGE_SIZE
 
 from conftest import small_cluster
@@ -106,6 +107,42 @@ class TestByteApi:
         assert out == bytes(16)
 
 
+class TestCopyOnWrite:
+    """A fill shares the memory blade's bytes; the first store copies."""
+
+    def test_store_to_a_never_written_page_copies(self, cluster):
+        pid, base = setup_proc(cluster)
+        blade = cluster.compute_blades[0]
+        untouched = base + PAGE_SIZE
+        cluster.run_process(blade.ensure_page(pid, untouched, False))
+        cluster.run_process(blade.ensure_page(pid, base, False))
+        # Both fills share the one zero page: nothing was copied yet.
+        assert blade.cache.peek(base).data is ZERO_PAGE
+        assert blade.cache.peek(untouched).data is ZERO_PAGE
+        cluster.run_process(blade.store_bytes(pid, base, b"hello"))
+        written = blade.cache.peek(base).data
+        assert type(written) is bytearray and written[:5] == b"hello"
+        assert ZERO_PAGE == bytes(PAGE_SIZE)
+        assert blade.cache.peek(untouched).data is ZERO_PAGE
+        assert cluster.run_process(blade.load_bytes(pid, untouched, 5)) == bytes(5)
+        xlate = cluster.mmu.address_space.translate(base)
+        memory = cluster.memory_blades[xlate.blade_id]
+        assert memory.read_page(xlate.pa) is ZERO_PAGE
+
+    def test_store_leaves_the_memory_blades_page_intact(self, cluster):
+        pid, base = setup_proc(cluster)
+        b0, b1 = cluster.compute_blades
+        cluster.run_process(b0.store_bytes(pid, base, b"first"))
+        # b1's read downgrades b0, whose write-back lands before the fetch.
+        assert cluster.run_process(b1.load_bytes(pid, base, 5)) == b"first"
+        xlate = cluster.mmu.address_space.translate(base)
+        stored = cluster.memory_blades[xlate.blade_id].read_page(xlate.pa)
+        assert b1.cache.peek(base).data is stored
+        cluster.run_process(b1.store_bytes(pid, base, b"second"))
+        assert stored[:6] == b"first\0"
+        assert cluster.run_process(b1.load_bytes(pid, base, 6)) == b"second"
+
+
 class TestRunThread:
     def test_returns_access_count(self, cluster):
         pid, base = setup_proc(cluster)
@@ -124,6 +161,26 @@ class TestRunThread:
         elapsed = cluster.engine.now - t0
         expected = 1000 * cluster.network.config.dram_access_us
         assert elapsed == pytest.approx(expected, rel=0.01)
+
+    @pytest.mark.parametrize("model", [ConsistencyModel.TSO, ConsistencyModel.PSO])
+    def test_page_landed_during_debt_payment_is_a_hit(self, cluster, model):
+        """A thread misses, pays its local-time debt, and meanwhile a
+        sibling's fault lands the page: the access is a hit, not a second
+        remote fault."""
+        pid, base = setup_proc(cluster)
+        blade = cluster.compute_blades[0]
+        warm, page = base, base + PAGE_SIZE
+        cluster.run_process(blade.ensure_page(pid, warm, False))
+        assert cluster.stats.counter("remote_accesses") == 1
+        dram = cluster.network.config.dram_access_us
+        hits = 200  # ~17 us of debt: longer than the sibling's fault
+        t0 = cluster.engine.now
+        cluster.run_all([
+            blade.run_thread(pid, [(page, False)], model),
+            blade.run_thread(pid, [(warm, False)] * hits + [(page, False)], model),
+        ])
+        assert cluster.stats.counter("remote_accesses") == 2
+        assert cluster.engine.now - t0 == pytest.approx((hits + 1) * dram)
 
     def test_tso_write_blocks_thread(self, cluster):
         """Under TSO a write fault's full latency lands on the thread."""

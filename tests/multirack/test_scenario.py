@@ -63,6 +63,38 @@ class TestScenarioDeterminism:
         assert metrics["gauge:tier:spine:bytes"] > 0
 
 
+class TestPayloads:
+    def test_replay_holds_no_page_buffers(self, monkeypatch):
+        """A trace replay never stores bytes, so every fill and write-back
+        shares the one zero page: no blade holds a private page buffer."""
+        from repro.blades.memory import ZERO_PAGE
+        from repro.multirack import runner
+
+        fabrics = []
+
+        class RecordingFabric(runner.MultiRackFabric):
+            def __init__(self, config):
+                super().__init__(config)
+                fabrics.append(self)
+
+        monkeypatch.setattr(runner, "MultiRackFabric", RecordingFabric)
+        result = run_multirack(MultiRackScenarioConfig(**QUICK))
+        assert result.stats.counter("pages_written_back") > 0
+        (fabric,) = fabrics
+        pages = [
+            page
+            for blade in fabric.compute_blades
+            for page in blade.cache.pages_in(0, 1 << 62)
+        ]
+        assert any(page.dirty for page in pages)
+        assert all(page.data is ZERO_PAGE for page in pages)
+        assert all(
+            data is ZERO_PAGE
+            for blade in fabric.memory_blades
+            for data in blade._pages.values()
+        )
+
+
 class TestConfigFromParams:
     def test_unknown_params_rejected(self):
         with pytest.raises(ValueError, match="unknown multirack scenario"):

@@ -307,6 +307,45 @@ class TestSubtaskFusion:
         spans = [rec[4] for rec in engine.tracer.records() if rec[3] == "engine"]
         assert spans == ["parent"]
 
+    def test_fused_exit_is_observable(self):
+        """A known gap in the unobservability contract, pinned so a fix
+        shows up: fusion decides at the child's *start*, but at its exit
+        the parent resumes in place, ahead of ready entries due at that
+        same instant.  A spawned child's exit fires a completion event,
+        whose resume of the parent queues behind them."""
+
+        def run(fuse):
+            engine = Engine()
+            log = []
+            ev = engine.event()
+
+            def b():
+                yield 1.0
+                ev.succeed()
+
+            def c():
+                yield ev
+                log.append("C")
+
+            def child():
+                yield 1.0
+
+            def a():
+                if fuse:
+                    yield from engine.subtask(child())
+                else:
+                    yield engine.process(child())
+                log.append("A-after")
+
+            engine.process(b())
+            engine.process(c())
+            engine.process(a())
+            engine.run()
+            return log, engine.subtasks_fused
+
+        assert run(fuse=True) == (["A-after", "C"], 1)
+        assert run(fuse=False) == (["C", "A-after"], 0)
+
 
 class TestKernelStats:
     def test_counters_are_exported(self):

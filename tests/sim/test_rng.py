@@ -60,6 +60,16 @@ class TestZipfianSampler:
         sampler = ZipfianSampler(10, seed=0)
         assert 0 <= sampler.sample_one() < 10
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 123456789])
+    def test_one_batch_draws_the_keys_of_scalar_calls(self, seed):
+        """``sample(n)`` is ``n`` calls of ``sample_one()``: each key costs
+        one double from the same stream, so batching changes no key."""
+        n = 500
+        scalar = ZipfianSampler(1000, theta=0.9, seed=seed)
+        reference = [scalar.sample_one() for _ in range(n)]
+        batch = ZipfianSampler(1000, theta=0.9, seed=seed).sample(n)
+        assert batch.tolist() == reference
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             ZipfianSampler(0)

@@ -18,7 +18,11 @@ queue more ``Resource`` grants than any other workload, and every spine
 leg acquires its wire.  The protocol-ablation baseline
 (``benchmarks/BENCH_protocol_ablation.json``) holds it for blade-side
 invalidation: its MESI and MOESI points are the only sweep points that
-run those protocols, MOESI's keep-dirty M->O downgrade included.
+run those protocols, MOESI's keep-dirty M->O downgrade included.  The
+telemetry baseline (``benchmarks/BENCH_telemetry.json``, the
+``ci-quick-telemetry`` preset) holds it window by window: its timeline
+documents record every fault latency when it happened, so they are
+compared whole, not only their summary metrics.
 """
 
 import json
@@ -41,7 +45,8 @@ def _baseline_points(name):
 
 def _assert_replays_exactly(recorded):
     point = SweepPoint.from_json(recorded)
-    fresh = execute_point(point).metrics
+    record = execute_point(point)
+    fresh = record.metrics
     # Newer code may *add* metrics (e.g. the transaction-engine counters
     # postdate this baseline), but every metric the baseline records must
     # still exist and be bit-for-bit identical.
@@ -53,6 +58,7 @@ def _assert_replays_exactly(recorded):
         if fresh[name] != want
     }
     assert not mismatched, f"simulated results drifted: {mismatched}"
+    return record
 
 
 @pytest.mark.parametrize(
@@ -98,3 +104,15 @@ def test_multirack_point_matches_baseline_exactly(recorded):
 )
 def test_protocol_ablation_point_matches_baseline_exactly(recorded):
     _assert_replays_exactly(recorded)
+
+
+@pytest.mark.parametrize(
+    "recorded",
+    _baseline_points("BENCH_telemetry.json"),
+    ids=lambda rec: rec["point_id"][:12],
+)
+def test_telemetry_point_matches_baseline_exactly(recorded):
+    fresh = _assert_replays_exactly(recorded)
+    # The timeline windows hold every fault latency, window by window.
+    timeline = json.loads(json.dumps(fresh.timeline))
+    assert timeline == recorded.get("timeline")
